@@ -6,8 +6,9 @@
 //
 // A circuit-class matrix is factorized once; a fixed population of
 // right-hand sides is then solved at batch sizes B in {1, 4, 16, 64, 256}.
-// Each level sweep costs one kernel launch regardless of how many
-// right-hand sides ride it, so simulated launch time per RHS should
+// Each cluster of a sweep (a fused run of narrow levels, or one wide
+// level) costs one kernel launch regardless of how many right-hand sides
+// ride it, so simulated launch time per RHS should
 // collapse ~1/B while per-(row, rhs) kernel work stays constant — and
 // every batched result must be bit-identical to the sequential
 // PipelineSolver::solve of the same vector.
@@ -59,11 +60,11 @@ int main(int argc, char** argv) {
   gpusim::Device dev(opt.device);
   const solve::PipelineSolver solver(dev, f);
   const solve::BatchedPipelineSolver batched(solver);
-  const index_t levels = static_cast<index_t>(batched.launches_per_batch());
+  const index_t launches = static_cast<index_t>(batched.launches_per_batch());
 
-  std::printf("=== ext_solve_throughput: batched level sweeps, n=%d nnz=%lld, "
-              "%d launch-bearing levels, %d right-hand sides ===\n",
-              a.n, static_cast<long long>(a.nnz()), levels, kTotalRhs);
+  std::printf("=== ext_solve_throughput: batched cluster sweeps, n=%d "
+              "nnz=%lld, %d launches per solve, %d right-hand sides ===\n",
+              a.n, static_cast<long long>(a.nnz()), launches, kTotalRhs);
 
   const std::vector<value_t> population = rhs_block(a.n, kTotalRhs, 404);
 

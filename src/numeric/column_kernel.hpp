@@ -1,17 +1,20 @@
 // Internal building blocks shared by the numeric executors: the atomic
-// update, Algorithm 6's binary search, and the per-column factorization
-// step of Algorithm 2.
+// update, Algorithm 6's binary search, the per-column factorization step
+// of Algorithm 2, and the numeric side of fused-cluster execution.
 #pragma once
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <memory>
-#include <thread>
+#include <optional>
 
 #include "fault/fault.hpp"
+#include "gpusim/device.hpp"
 #include "numeric/numeric.hpp"
+#include "scheduling/ready_flags.hpp"
 #include "support/check.hpp"
+#include "trace/metrics.hpp"
+#include "trace/trace.hpp"
 
 namespace e2elu::numeric::detail {
 
@@ -119,51 +122,26 @@ inline std::uint64_t process_column_sparse(FactorMatrix& m, index_t j) {
   return process_column_sparse(m, j, [](index_t, offset_t) {});
 }
 
-// ---------------------------------------------------------------------------
-// Fused (sync-free) cluster execution.
-//
-// A fused launch covers several consecutive levels; its blocks replace the
-// inter-level kernel boundary with per-column ready flags: a block first
-// waits for the flags of its column's in-cluster predecessors, processes
-// the column, then publishes its own flag. Deadlock-freedom: predecessors
-// live on strictly earlier levels, i.e. at strictly lower block indices of
-// the same grid, and the ThreadPool claims block ranges in ascending
-// order — so the lowest unfinished block never waits on unfinished work.
-// The `failed` flag is the abort protocol: a block that throws (zero
-// pivot, injected fault) sets it — plus its own ready flag — before
-// rethrowing, so spinning blocks drain instead of hanging while the pool
-// propagates the exception.
-// ---------------------------------------------------------------------------
-
-/// One flag per column, 0 = pending, 1 = retired. Value-initialized to 0.
-using ReadyFlags = std::unique_ptr<std::atomic<std::uint8_t>[]>;
-
-inline ReadyFlags make_ready_flags(index_t n) {
-  return std::make_unique<std::atomic<std::uint8_t>[]>(
-      static_cast<std::size_t>(n));
-}
-
-/// Spin-waits until every in-cluster predecessor of column j has retired.
-/// Predecessors are the columns whose completion j's work reads: the
-/// strictly-upper rows of CSC column j (U side — they wrote As(:,j)) and
-/// the strictly-lower entries of pattern row j (L side — they wrote the
-/// As(j,k) multipliers), restricted to levels inside
-/// [cluster_first_level, level(j)). Charges one op per dependency edge
-/// checked — *not* per spin iteration, which would make simulated time
-/// depend on host thread scheduling.
-inline std::uint64_t wait_cluster_predecessors(
-    const FactorMatrix& m, const scheduling::LevelSchedule& s,
-    index_t cluster_first_level, index_t j,
-    const std::atomic<std::uint8_t>* ready, const std::atomic<bool>& failed) {
-  std::uint64_t ops = 0;
+/// Fused-cluster predecessors of column j for the ready-flag protocol
+/// (scheduling/ready_flags.hpp): calls wait(i) for each column whose
+/// completion j's work reads — the strictly-upper rows of CSC column j (U
+/// side — they wrote As(:,j)) and the strictly-lower entries of pattern
+/// row j (L side — they wrote the As(j,k) multipliers) — restricted to
+/// levels inside [cluster_first_level, level(j)). Charges `ctx` one op per
+/// dependency edge checked — *not* per spin iteration, which would make
+/// simulated time depend on host thread scheduling.
+template <class Wait>
+inline void wait_cluster_predecessors(const FactorMatrix& m,
+                                      const scheduling::LevelSchedule& s,
+                                      index_t cluster_first_level, index_t j,
+                                      gpusim::KernelContext& ctx,
+                                      Wait&& wait) {
   const index_t lj = s.level[j];
   auto wait_on = [&](index_t i) {
-    ++ops;
+    ctx.add_ops(1);
     const index_t li = s.level[i];
-    if (li < cluster_first_level || li >= lj) return;
-    while (ready[i].load(std::memory_order_acquire) == 0) {
-      if (failed.load(std::memory_order_relaxed)) return;
-      std::this_thread::yield();
+    if (li >= cluster_first_level && li < lj) {
+      wait(static_cast<std::size_t>(i));
     }
   };
   for (offset_t p = m.csc.col_ptr[j]; p < m.diag_pos[j]; ++p) {
@@ -173,7 +151,51 @@ inline std::uint64_t wait_cluster_predecessors(
   for (auto it = cols.begin(); it != cols.end() && *it < j; ++it) {
     wait_on(*it);
   }
-  return ops;
+}
+
+/// Runs levels [lo, hi) of `s` as one fused launch (`cfg` supplies name,
+/// block size, efficiency and stream; grid and fused_levels are filled
+/// in): block b owns column j = level_cols[level_ptr[lo] + b], waits on its
+/// in-cluster predecessors, then runs work(p, j, ctx) with p its schedule
+/// position. `flags` is allocated on first use and shared by every
+/// cluster of the factorization. Books the cluster into `stats`, the
+/// numeric.fused_levels counter and a numeric.cluster span carrying the
+/// chain-vs-charged cost pair.
+template <class ColumnWork>
+inline void run_fused_cluster(gpusim::Device& dev, const FactorMatrix& m,
+                              const scheduling::LevelSchedule& s, index_t lo,
+                              index_t hi, gpusim::LaunchConfig cfg,
+                              const char* format,
+                              std::optional<scheduling::ReadyFlags>& flags,
+                              NumericStats& stats, ColumnWork&& work) {
+  const index_t first_pos = s.level_ptr[lo];
+  const index_t width = s.level_ptr[hi] - first_pos;
+  if (!flags) flags.emplace(static_cast<std::size_t>(m.n()));
+  trace::Span span("numeric.cluster", dev,
+                   {{"first_level", lo},
+                    {"levels", hi - lo},
+                    {"columns", width},
+                    {"format", format}});
+  cfg.blocks = width;
+  cfg.fused_levels = static_cast<int>(hi - lo);
+  const scheduling::FusedCost cost = flags->launch(
+      dev, cfg, [&](std::int64_t b, gpusim::KernelContext& ctx) {
+        const index_t p = first_pos + static_cast<index_t>(b);
+        const index_t j = s.level_cols[p];
+        flags->run_block(
+            static_cast<std::size_t>(j), ctx,
+            [&](auto&& wait) {
+              wait_cluster_predecessors(m, s, lo, j, ctx, wait);
+            },
+            [&] { work(p, j, ctx); });
+      });
+  span.attr("chain_us", cost.chain_us);
+  span.attr("charged_us", cost.charged_us);
+  stats.fused_levels += hi - lo;
+  ++stats.fused_clusters;
+  trace::MetricsRegistry::global()
+      .counter("numeric.fused_levels")
+      .add(static_cast<std::uint64_t>(hi - lo));
 }
 
 /// Width-weighted mean warp efficiency over a cluster's levels — the

@@ -9,7 +9,6 @@
 // Table 4 reports and Figure 8 shows the sparse format removing.
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "numeric/factor_window.hpp"
 #include "numeric/numeric.hpp"
 #include "support/timer.hpp"
-#include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace e2elu::numeric {
@@ -356,7 +354,7 @@ NumericStats factorize_dense_window(gpusim::Device& dev, FactorMatrix& m,
     run_batch(batch, warp_eff);
   };
 
-  detail::ReadyFlags flags;  // fused clusters only; allocated on demand
+  std::optional<scheduling::ReadyFlags> flags;  // fused clusters only
   const scheduling::ClusterSchedule& cs = plan->clusters;
   auto execute_cluster = [&](index_t cl) {
     const index_t lo = cs.first_level(cl);
@@ -386,49 +384,20 @@ NumericStats factorize_dense_window(gpusim::Device& dev, FactorMatrix& m,
         return;
       }
 
-      const index_t first_pos = s.level_ptr[lo];
-      const index_t width = s.level_ptr[hi] - first_pos;
       const double warp_eff = detail::cluster_warp_eff(*plan, s, lo, hi);
-      if (!flags) flags = detail::make_ready_flags(n);
-      std::atomic<bool> failed{false};
-      TRACE_SPAN("numeric.cluster", dev,
-                 {{"first_level", lo},
-                  {"levels", hi - lo},
-                  {"columns", width},
-                  {"format", "dense"}});
       scatter(batch, warp_eff);
-      dev.launch(
+      detail::run_fused_cluster(
+          dev, m, s, lo, hi,
           {.name = "dense_fused",
-           .blocks = width,
            .threads_per_block = 256,
-           .warp_efficiency = warp_eff,
-           .fused_levels = static_cast<int>(hi - lo)},
-          [&](std::int64_t b, gpusim::KernelContext& ctx) {
-            const index_t j = s.level_cols[first_pos + static_cast<index_t>(b)];
-            std::uint64_t ops = detail::wait_cluster_predecessors(
-                m, s, lo, j, flags.get(), failed);
-            ctx.add_ops(ops);
-            if (failed.load(std::memory_order_relaxed)) {
-              flags[j].store(1, std::memory_order_release);
-              return;
-            }
-            try {
-              process_column_dense(j, ctx);
-            } catch (...) {
-              failed.store(true, std::memory_order_relaxed);
-              flags[j].store(1, std::memory_order_release);
-              throw;
-            }
-            flags[j].store(1, std::memory_order_release);
+           .warp_efficiency = warp_eff},
+          "dense", flags, stats,
+          [&](index_t, index_t j, gpusim::KernelContext& ctx) {
+            process_column_dense(j, ctx);
           });
       gather(batch, warp_eff);
       for (index_t c2 : batch.slot_cols) slot_of[c2] = -1;
       ++stats.num_batches;
-      stats.fused_levels += hi - lo;
-      ++stats.fused_clusters;
-      trace::MetricsRegistry::global()
-          .counter("numeric.fused_levels")
-          .add(static_cast<std::uint64_t>(hi - lo));
       return;
     }
 

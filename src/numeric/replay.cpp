@@ -12,15 +12,14 @@
 // level.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 #include "numeric/column_kernel.hpp"
 #include "numeric/factor_window.hpp"
 #include "numeric/numeric.hpp"
 #include "support/timer.hpp"
-#include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace e2elu::numeric {
@@ -143,7 +142,7 @@ NumericStats factorize_replay(gpusim::Device& dev, FactorMatrix& m,
     }
   };
 
-  detail::ReadyFlags flags;  // fused clusters only; allocated on demand
+  std::optional<scheduling::ReadyFlags> flags;  // fused clusters only
   const scheduling::ClusterSchedule& cs = plan.clusters;
   // The whole per-cluster body, parameterized on the stream its launches
   // go to: null for the classic serial path, the window's compute stream
@@ -157,15 +156,6 @@ NumericStats factorize_replay(gpusim::Device& dev, FactorMatrix& m,
                           static_cast<std::size_t>(m.n()) + 1,
                       "replay plan lacks per-column sub-column ranges "
                       "needed for fused execution");
-      const index_t first_pos = s.level_ptr[lo];
-      const index_t width = s.level_ptr[hi] - first_pos;
-      if (!flags) flags = detail::make_ready_flags(m.n());
-      std::atomic<bool> failed{false};
-      TRACE_SPAN("numeric.cluster", dev,
-                 {{"first_level", lo},
-                  {"levels", hi - lo},
-                  {"columns", width},
-                  {"format", "replay"}});
       if (unified) {
         // One prefetch for the whole cluster's task slice — coarser than
         // the per-level prefetch below, which is the point: fewer calls.
@@ -173,48 +163,27 @@ NumericStats factorize_replay(gpusim::Device& dev, FactorMatrix& m,
         const std::uint32_t t1 = replay.task_start[replay.level_ptr[hi]];
         if (t1 > t0) storage.tasks_unified->prefetch(t0, t1 - t0);
       }
-      dev.launch(
+      detail::run_fused_cluster(
+          dev, m, s, lo, hi,
           {.name = "replay_fused",
-           .blocks = width,
            .threads_per_block = 256,
            .warp_efficiency = detail::cluster_warp_eff(plan, s, lo, hi),
-           .fused_levels = static_cast<int>(hi - lo),
            .stream = wstream},
-          [&](std::int64_t b, gpusim::KernelContext& ctx) {
-            const index_t p = first_pos + static_cast<index_t>(b);
-            const index_t j = s.level_cols[p];
-            std::uint64_t ops = detail::wait_cluster_predecessors(
-                m, s, lo, j, flags.get(), failed);
-            if (failed.load(std::memory_order_relaxed)) {
-              flags[j].store(1, std::memory_order_release);
-              ctx.add_ops(ops);
-              return;
+          "replay", flags, stats,
+          [&](index_t p, index_t j, gpusim::KernelContext& ctx) {
+            std::uint64_t ops = 0;
+            const offset_t dp = m.diag_pos[j];
+            const value_t diag = detail::load_pivot(m.csc.values[dp], j);
+            for (offset_t q = dp + 1; q < m.csc.col_ptr[j + 1]; ++q) {
+              m.csc.values[q] /= diag;
+              ++ops;
             }
-            try {
-              const offset_t dp = m.diag_pos[j];
-              const value_t diag = detail::load_pivot(m.csc.values[dp], j);
-              for (offset_t q = dp + 1; q < m.csc.col_ptr[j + 1]; ++q) {
-                m.csc.values[q] /= diag;
-                ++ops;
-              }
-              for (offset_t sc = replay.col_sub_ptr[p];
-                   sc < replay.col_sub_ptr[p + 1]; ++sc) {
-                apply_sub_column(static_cast<std::size_t>(sc), ops);
-              }
-            } catch (...) {
-              failed.store(true, std::memory_order_relaxed);
-              flags[j].store(1, std::memory_order_release);
-              ctx.add_ops(ops);
-              throw;
+            for (offset_t sc = replay.col_sub_ptr[p];
+                 sc < replay.col_sub_ptr[p + 1]; ++sc) {
+              apply_sub_column(static_cast<std::size_t>(sc), ops);
             }
-            flags[j].store(1, std::memory_order_release);
             ctx.add_ops(ops);
           });
-      stats.fused_levels += hi - lo;
-      ++stats.fused_clusters;
-      trace::MetricsRegistry::global()
-          .counter("numeric.fused_levels")
-          .add(static_cast<std::uint64_t>(hi - lo));
       return;
     }
 

@@ -2,7 +2,6 @@
 // (§3.4, Algorithm 6) with GLU3.0's type-A/B/C level kernels.
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <optional>
 
@@ -11,7 +10,6 @@
 #include "numeric/factor_window.hpp"
 #include "numeric/numeric.hpp"
 #include "support/timer.hpp"
-#include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace e2elu::numeric {
@@ -61,7 +59,7 @@ NumericStats factorize_sparse_bsearch(gpusim::Device& dev, FactorMatrix& m,
   for (int i = 1; i < opt.async_streams; ++i) {
     streams.push_back(std::make_unique<gpusim::Stream>(dev));
   }
-  detail::ReadyFlags flags;  // fused clusters only; allocated on demand
+  std::optional<scheduling::ReadyFlags> flags;  // fused clusters only
 
   const scheduling::ClusterSchedule& cs = plan->clusters;
   // The whole per-cluster body, parameterized on the stream its launches
@@ -74,48 +72,17 @@ NumericStats factorize_sparse_bsearch(gpusim::Device& dev, FactorMatrix& m,
 
     if (cs.is_fused(c)) {
       // Fused super-level: one launch, block per column, intra-cluster
-      // dependencies resolved through ready flags (see column_kernel.hpp).
-      const index_t first_pos = s.level_ptr[lo];
-      const index_t width = s.level_ptr[hi] - first_pos;
-      if (!flags) flags = detail::make_ready_flags(m.n());
-      std::atomic<bool> failed{false};
-      TRACE_SPAN("numeric.cluster", dev,
-                 {{"first_level", lo},
-                  {"levels", hi - lo},
-                  {"columns", width},
-                  {"format", "sparse"}});
-      dev.launch(
+      // dependencies resolved through ready flags.
+      detail::run_fused_cluster(
+          dev, m, s, lo, hi,
           {.name = "numeric_fused",
-           .blocks = width,
            .threads_per_block = 256,
            .warp_efficiency = detail::cluster_warp_eff(*plan, s, lo, hi),
-           .fused_levels = static_cast<int>(hi - lo),
            .stream = wstream},
-          [&](std::int64_t b, gpusim::KernelContext& ctx) {
-            const index_t j = s.level_cols[first_pos + static_cast<index_t>(b)];
-            std::uint64_t ops = detail::wait_cluster_predecessors(
-                m, s, lo, j, flags.get(), failed);
-            if (failed.load(std::memory_order_relaxed)) {
-              flags[j].store(1, std::memory_order_release);
-              ctx.add_ops(ops);
-              return;
-            }
-            try {
-              ops += detail::process_column_sparse(m, j);
-            } catch (...) {
-              failed.store(true, std::memory_order_relaxed);
-              flags[j].store(1, std::memory_order_release);
-              ctx.add_ops(ops);
-              throw;
-            }
-            flags[j].store(1, std::memory_order_release);
-            ctx.add_ops(ops);
+          "sparse", flags, stats,
+          [&](index_t, index_t j, gpusim::KernelContext& ctx) {
+            ctx.add_ops(detail::process_column_sparse(m, j));
           });
-      stats.fused_levels += hi - lo;
-      ++stats.fused_clusters;
-      trace::MetricsRegistry::global()
-          .counter("numeric.fused_levels")
-          .add(static_cast<std::uint64_t>(hi - lo));
       return;
     }
 

@@ -325,7 +325,8 @@ JobResult FactorService::run_job(Job& job, std::size_t worker_id,
     PhaseTimer timer(report.replay_us);
     std::lock_guard<std::mutex> entry_lock(entry->mutex);
     TRACE_SPAN("service.replay", entry->engine->device(),
-               {{"n", job.a.n}, {"hits", entry->hits}});
+               {{"n", job.a.n},
+                {"hits", entry->hits.load(std::memory_order_relaxed)}});
     refactor::RefactorReport rep;
     try {
       rep = entry->engine->refactorize(job.a);

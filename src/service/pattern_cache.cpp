@@ -28,7 +28,7 @@ PatternCache::EntryPtr PatternCache::lookup(const Csr& a) {
       // falls through to a miss instead of a wrong reuse.
       if (same_structure(a, entry->pattern)) {
         ++stats_.hits;
-        ++entry->hits;
+        entry->hits.fetch_add(1, std::memory_order_relaxed);
         entry->last_use = ++use_seq_;
         return entry;
       }
@@ -120,7 +120,8 @@ bool PatternCache::evict_lru_locked() {
   const EntryPtr victim = (*chain)[pos];
   TRACE_SPAN("service.cache.evict",
              {{"bytes", static_cast<std::int64_t>(victim->footprint_bytes)},
-              {"hits", static_cast<std::int64_t>(victim->hits)}});
+              {"hits", static_cast<std::int64_t>(
+                           victim->hits.load(std::memory_order_relaxed))}});
   chain->erase(chain->begin() + static_cast<std::ptrdiff_t>(pos));
   if (chain->empty()) index_.erase(victim->hash);
   stats_.resident_bytes -= victim->footprint_bytes;

@@ -26,6 +26,7 @@
 // because refactorize() mutates the cached skeleton in place.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -72,7 +73,10 @@ class PatternCache {
     std::unique_ptr<refactor::Refactorizer> engine;
     std::size_t footprint_bytes = 0;
     std::mutex mutex;
-    std::uint64_t hits = 0;
+    /// Written by lookup() under the index mutex, read by replaying
+    /// workers under the entry mutex — hence atomic (relaxed: a count for
+    /// reporting, ordering nothing).
+    std::atomic<std::uint64_t> hits{0};
     std::uint64_t last_use = 0;  ///< recency sequence (larger = newer)
   };
   using EntryPtr = std::shared_ptr<Entry>;

@@ -4,8 +4,8 @@
 // transient simulation solve thousands of right-hand sides per
 // factorization and want those on the device too. PipelineSolver wraps
 // the level-scheduled triangular solvers with the factorization's row and
-// column permutations, so `solve(b)` answers the *original* system
-// A x = b.
+// column permutations and equilibration scales, so `solve(b)` answers the
+// *original* system A x = b.
 #pragma once
 
 #include <cmath>
@@ -45,16 +45,45 @@ class PipelineSolver {
     factorization_ = &factorization;
   }
 
-  /// Solves A x = b on the device (two level-parallel triangular sweeps).
+  /// Solves A x = b on the device (two clustered triangular sweeps).
   std::vector<value_t> solve(std::span<const value_t> b) const {
+    return solve_many(b, 1);
+  }
+
+  /// Solves A x_r = b_r for every column r of the column-major n x num_rhs
+  /// block `b`; returns the solutions in the same layout. Column by column
+  /// this is exactly SparseLU::solve's transformation — the factors are of
+  /// As = Dr A Dc (Dr = Dc = I without equilibration) permuted, so
+  ///   c[i] = row_scale[row_perm[i]] * b[row_perm[i]]      (before L),
+  ///   x[col_perm[j]] = col_scale[col_perm[j]] * y[j]      (after U)
+  /// — and the results are bit-identical to it.
+  std::vector<value_t> solve_many(std::span<const value_t> b,
+                                  index_t num_rhs) const {
     const FactorResult& f = *factorization_;
-    E2ELU_CHECK(b.size() == static_cast<std::size_t>(f.n));
-    TRACE_SPAN("solve.pipeline", {{"n", f.n}});
-    std::vector<value_t> c(static_cast<std::size_t>(f.n));
-    for (index_t i = 0; i < f.n; ++i) c[i] = b[f.row_perm[i]];
-    const std::vector<value_t> y = lu_.solve(c);
-    std::vector<value_t> x(static_cast<std::size_t>(f.n));
-    for (index_t j = 0; j < f.n; ++j) x[f.col_perm[j]] = y[j];
+    const auto n = static_cast<std::size_t>(f.n);
+    E2ELU_CHECK_MSG(num_rhs >= 0, "negative batch size");
+    E2ELU_CHECK(b.size() == n * static_cast<std::size_t>(num_rhs));
+    TRACE_SPAN("solve.pipeline", {{"n", f.n}, {"rhs", num_rhs}});
+    if (num_rhs == 0) return {};
+    const bool scaled = f.scaling.enabled();
+    std::vector<value_t> y(b.size());
+    for (std::size_t off = 0; off < b.size(); off += n) {
+      for (index_t i = 0; i < f.n; ++i) {
+        const index_t i0 = f.row_perm[i];
+        y[off + i] = scaled ? f.scaling.row_scale[i0] * b[off + i0]
+                            : b[off + i0];
+      }
+    }
+    lu_.lower().solve_many(y, num_rhs);
+    lu_.upper().solve_many(y, num_rhs);
+    std::vector<value_t> x(b.size());
+    for (std::size_t off = 0; off < b.size(); off += n) {
+      for (index_t j = 0; j < f.n; ++j) {
+        const index_t j0 = f.col_perm[j];
+        x[off + j0] = scaled ? f.scaling.col_scale[j0] * y[off + j]
+                             : y[off + j];
+      }
+    }
     return x;
   }
 
@@ -102,8 +131,7 @@ class PipelineSolver {
   }
 
   const LuSolver& lu() const { return lu_; }
-  /// The bound factorization (updated by rebind); batched front-ends read
-  /// the permutations through this.
+  /// The bound factorization (updated by rebind).
   const FactorResult& factorization() const { return *factorization_; }
 
  private:

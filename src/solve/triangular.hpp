@@ -9,6 +9,14 @@
 // structure the paper levelizes for numeric factorization, so the same
 // GPU Kahn machinery schedules them: rows within a level are independent
 // and solve in parallel.
+//
+// Circuit schedules are deep and narrow, so a kernel per level makes the
+// solve launch-bound. Each solver therefore clusters its levels once, at
+// construction, with the numeric fusion clusterer under the device-derived
+// thresholds: a run of narrow levels becomes ONE launch whose blocks spin
+// on per-row ready flags (the synchronization-free SpTRSV of Liu et al.),
+// and wide levels keep their own launch. Substitution has no atomics, so
+// fused and per-level sweeps produce the same bits.
 #pragma once
 
 #include <span>
@@ -16,19 +24,26 @@
 
 #include "gpusim/device.hpp"
 #include "matrix/csr.hpp"
+#include "scheduling/fusion.hpp"
 #include "scheduling/levelize.hpp"
+
+namespace e2elu::scheduling {
+class ReadyFlags;
+}
 
 namespace e2elu::solve {
 
 /// Streaming (out-of-core) solve: when enabled, the factor rows are not
-/// device-resident — consecutive levels are grouped into chunks whose
+/// device-resident — consecutive clusters are grouped into chunks whose
 /// rows fit budget_bytes / (1 + prefetch_ahead), and each chunk's rows
 /// stream in on a transfer stream ahead of the compute stream's
-/// substitution kernels, mirroring the numeric factor window. The factor
-/// is read-only during a solve, so a retired chunk is simply dropped (no
-/// write-back). Factors produced by a windowed factorization live on the
-/// host; this is how their solves get them back without ever holding L
-/// or U whole on the device.
+/// substitution kernels, mirroring the numeric factor window. Chunks end
+/// on cluster boundaries, because a fused launch needs all of its rows; a
+/// cluster too big for one chunk is split at level boundaries first. The
+/// factor is read-only during a solve, so a retired chunk is simply
+/// dropped (no write-back). Factors produced by a windowed factorization
+/// live on the host; this is how their solves get them back without ever
+/// holding L or U whole on the device.
 struct SolveStreamOptions {
   bool enabled = false;
   std::size_t budget_bytes = 0;  ///< 0 = device free bytes at solve entry
@@ -40,12 +55,13 @@ struct SolveStreamStats {
   std::uint64_t chunks = 0;
   std::uint64_t prefetches = 0;  ///< chunk fetches issued ahead
   std::uint64_t fetch_bytes = 0;
+  std::uint64_t max_chunk_bytes = 0;  ///< largest single chunk fetched
   double stall_us = 0;  ///< compute blocked on an unfinished fetch
 };
 
 /// A triangular factor prepared for repeated level-parallel solves: the
 /// per-row levels are computed once (on the device, via the Algorithm 5
-/// levelizer) and reused for every right-hand side.
+/// levelizer), clustered once, and reused for every right-hand side.
 class TriangularSolver {
  public:
   /// `lower` selects forward substitution (unit diagonal assumed stored,
@@ -53,12 +69,21 @@ class TriangularSolver {
   /// diagonal.
   TriangularSolver(gpusim::Device& device, const Csr& factor, bool lower);
 
-  /// Solves in place: x holds b on entry, the solution on return.
+  /// Solves in place: x holds b on entry, the solution on return. The
+  /// one-column case of solve_many.
   void solve(std::vector<value_t>& x) const;
 
+  /// Solves in place for `num_rhs` right-hand sides: `x` is the
+  /// column-major n x num_rhs block (column r at [r*n, (r+1)*n)), holding
+  /// B on entry and X on return. One launch per cluster whatever num_rhs
+  /// is, grid = cluster rows x num_rhs, RHS-major. Each column's
+  /// arithmetic is identical, operation for operation, to solve() of that
+  /// column, and ops count once per (row element, rhs).
+  void solve_many(std::span<value_t> x, index_t num_rhs) const;
+
   /// Rebinds to a factor with the identical pattern but updated values
-  /// (a re-factorization): the cached level schedule and diagonal
-  /// positions stay valid, so nothing is recomputed. Throws if the
+  /// (a re-factorization): the cached level schedule, clusters and
+  /// diagonal positions stay valid, so nothing is recomputed. Throws if the
   /// pattern differs. The factor must outlive the solver.
   void rebind(const Csr& factor);
 
@@ -69,29 +94,32 @@ class TriangularSolver {
   const SolveStreamStats& stream_stats() const { return stream_stats_; }
 
   index_t num_levels() const { return schedule_.num_levels(); }
+  /// Launches one sweep issues: a multi-level cluster runs as one fused
+  /// launch, every other level as its own.
+  index_t num_clusters() const { return clusters_.num_clusters(); }
   /// Work items performed by this solver's kernels, summed over all
-  /// solve() calls — including batched sweeps run through a
-  /// BatchedTriangularSolver bound to this solver, which count once per
-  /// (row, rhs) so one B-wide batch reports exactly B times the work of
-  /// one solve().
+  /// solve()/solve_many() calls, once per (row element, rhs): one B-wide
+  /// batch reports exactly B times the work of one solve().
   std::uint64_t ops() const { return ops_; }
 
  private:
-  /// The batched sweep reuses this solver's cached schedule, diagonal
-  /// positions, and ops accounting rather than duplicating them.
-  friend class BatchedTriangularSolver;
-
-  /// Streaming solve body: chunks the levels under the budget, prefetches
+  /// Streaming sweep: chunks the clusters under the budget, prefetches
   /// upcoming chunks on a transfer stream, launches on a compute stream.
-  void solve_streamed(std::vector<value_t>& x) const;
-  /// One level's substitution kernel, on `stream` (null = default).
-  void launch_level(index_t l, std::vector<value_t>& x,
-                    gpusim::Stream* stream) const;
+  void solve_streamed(std::span<value_t> x, index_t num_rhs,
+                      scheduling::ReadyFlags* flags) const;
+  /// The substitution kernel for levels [lo, hi) over all num_rhs
+  /// columns, on `stream` (null = default): one fused launch when it spans
+  /// several levels, synchronized through `flags` (indexed by
+  /// rhs * n + row), a plain level launch otherwise.
+  void launch_levels(index_t lo, index_t hi, std::span<value_t> x,
+                     index_t num_rhs, gpusim::Stream* stream,
+                     scheduling::ReadyFlags* flags) const;
 
   gpusim::Device* device_;
   const Csr* factor_;
   bool lower_;
   scheduling::LevelSchedule schedule_;
+  scheduling::ClusterSchedule clusters_;
   std::vector<offset_t> diag_pos_;  ///< position of (i,i) in each row
   std::vector<std::size_t> level_bytes_;  ///< factor-row bytes per level
   SolveStreamOptions stream_opt_;

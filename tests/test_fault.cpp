@@ -310,7 +310,7 @@ TEST(FaultService, BatchFailureFansOutAndServiceSurvives) {
   const std::vector<value_t> b = rhs(a.n, 123);
 
   {
-    fault::ScopedPlan plan("launch=solve_level_batched@1");
+    fault::ScopedPlan plan("launch=lower_solve@1");
     auto fut = service.submit(b);
     try {
       fut.get();

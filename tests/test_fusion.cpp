@@ -14,6 +14,7 @@
 #include "scheduling/levelize.hpp"
 #include "support/thread_pool.hpp"
 #include "symbolic/symbolic.hpp"
+#include "trace/metrics.hpp"
 
 namespace e2elu::scheduling {
 namespace {
@@ -209,6 +210,9 @@ void expect_fused_bit_identical(const Csr& a, Path path) {
     NumericOptions opt;
     if (fused) opt.fusion = fusion_on();
     NumericStats st;
+    auto& registry = trace::MetricsRegistry::global();
+    const std::uint64_t recorded =
+        registry.histogram("model.fusion.charged_us").count();
     if (path == Path::Replay) {
       const LevelPlan plan =
           build_level_plan(p.fm, p.schedule, spec, opt.fusion);
@@ -225,6 +229,11 @@ void expect_fused_bit_identical(const Csr& a, Path path) {
     }
     launches = dev.stats().host_launches;
     fused_levels = st.fused_levels;
+    // Every fused launch records its chain next to its charged time.
+    EXPECT_EQ(registry.histogram("model.fusion.charged_us").count() - recorded,
+              dev.stats().fused_launches);
+    EXPECT_EQ(registry.histogram("model.fusion.chain_us").count() - recorded,
+              dev.stats().fused_launches);
     if (fused) {
       EXPECT_GT(st.fused_levels, 0);
       EXPECT_GT(st.fused_clusters, 0);

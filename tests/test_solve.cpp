@@ -82,9 +82,13 @@ TEST(TriangularSolver, SolvesRunLevelParallelKernels) {
   const auto launches_before = dev.stats().host_launches;
   solver.solve(rhs(a.n, 3));
   const auto launches = dev.stats().host_launches - launches_before;
-  // One launch per level per factor — far fewer than 2n row launches.
-  EXPECT_EQ(launches, static_cast<std::uint64_t>(solver.lower().num_levels() +
-                                                 solver.upper().num_levels()));
+  // One launch per cluster per factor — far fewer than 2n row launches,
+  // and fewer than one per level: the narrow levels fuse.
+  EXPECT_EQ(launches,
+            static_cast<std::uint64_t>(solver.lower().num_clusters() +
+                                       solver.upper().num_clusters()));
+  EXPECT_LT(solver.lower().num_clusters(), solver.lower().num_levels());
+  EXPECT_LT(solver.upper().num_clusters(), solver.upper().num_levels());
 }
 
 TEST(Refine, DrivesResidualDown) {

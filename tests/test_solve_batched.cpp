@@ -125,6 +125,7 @@ TEST(BatchedTriangularSolver, OpsCountOncePerRowAndRhs) {
   const FactorResult f = SparseLU(opt).factorize(a);
   gpusim::Device dev(opt.device);
   const TriangularSolver lower(dev, f.l, /*lower=*/true);
+  ASSERT_LT(lower.num_clusters(), lower.num_levels());  // fused sweeps
 
   std::vector<value_t> x = rhs(a.n, 31);
   lower.solve(x);
@@ -139,7 +140,7 @@ TEST(BatchedTriangularSolver, OpsCountOncePerRowAndRhs) {
             static_cast<std::uint64_t>(num_rhs) * ops_one);
 }
 
-TEST(BatchedPipelineSolver, OneLaunchPerLevelRegardlessOfBatchWidth) {
+TEST(BatchedPipelineSolver, OneLaunchPerClusterRegardlessOfBatchWidth) {
   const Csr a = gen_blocked_planar(256, 32, 3.2, 4, 47);
   const Options opt = pipeline_options();
   const FactorResult f = SparseLU(opt).factorize(a);
@@ -154,6 +155,12 @@ TEST(BatchedPipelineSolver, OneLaunchPerLevelRegardlessOfBatchWidth) {
   (void)batched.solve_many(block, num_rhs);
   const auto batch_delta = dev.stats().since(before);
   EXPECT_EQ(batch_delta.host_launches, batched.launches_per_batch());
+  EXPECT_EQ(batched.launches_per_batch(),
+            static_cast<std::uint64_t>(solver.lu().lower().num_clusters() +
+                                       solver.lu().upper().num_clusters()));
+  EXPECT_LT(batched.launches_per_batch(),
+            static_cast<std::uint64_t>(solver.lu().lower().num_levels() +
+                                       solver.lu().upper().num_levels()));
 
   const auto before_seq = dev.snapshot();
   for (index_t r = 0; r < num_rhs; ++r) {
@@ -338,8 +345,8 @@ TEST(SolveRefined, ConvergedSystemExitsAfterOneSweepPair) {
   // Exactly one lower+upper sweep pair: the early exit skipped all ten
   // correction iterations (each of which would add another pair).
   EXPECT_EQ(launches,
-            static_cast<std::uint64_t>(solver.lu().lower().num_levels() +
-                                       solver.lu().upper().num_levels()));
+            static_cast<std::uint64_t>(solver.lu().lower().num_clusters() +
+                                       solver.lu().upper().num_clusters()));
   EXPECT_LT(SparseLU::residual(a, x, b), 1e-10);
 }
 
@@ -367,8 +374,8 @@ TEST(SolveRefined, PerturbedFactorsConvergeAndReportIterations) {
   EXPECT_LT(rep.iterations, 10);  // early exit, not the full budget
   EXPECT_LT(rep.residual_inf, 1e-13);
   const std::uint64_t sweep_pair =
-      static_cast<std::uint64_t>(solver.lu().lower().num_levels() +
-                                 solver.lu().upper().num_levels());
+      static_cast<std::uint64_t>(solver.lu().lower().num_clusters() +
+                                 solver.lu().upper().num_clusters());
   EXPECT_EQ(launches,
             (1 + static_cast<std::uint64_t>(rep.iterations)) * sweep_pair);
   EXPECT_LT(SparseLU::residual(a, x, b), 1e-11);
