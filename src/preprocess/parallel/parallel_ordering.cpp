@@ -6,19 +6,22 @@
 // reduction (min degree, live-entry count) is commutative, which is the
 // whole determinism argument (DESIGN.md 6i).
 //
-// Round structure, one kernel per step:
-//   amd.degree    degrees + seeded priorities + commutative min reduce
+// Kernels, one launch per step:
+//   amd.compress_degree  256 vertices per block, once before the first
+//                 round and again after every round: drop dead and merged
+//                 entries, sum the weighted degree of the rest, reduce the
+//                 min degree and the live-entry count
 //   amd.select    candidates (deg <= (1+slack)*dmin) scan their distance-2
 //                 neighborhood; smallest (deg, hash, id) priority wins
-//   amd.eliminate one block per winner: fold the pivot's clique into each
-//                 neighbor, then hash closed neighborhoods to detect
-//                 indistinguishable vertices and merge them (supernodes)
-//   amd.compress  every live vertex filters dead/merged entries from its
-//                 own list (block-per-vertex, so writes stay disjoint)
+//   amd.eliminate one block per (winner, clique member): fold the pivot's
+//                 clique into the member's list and hash the member's
+//                 closed neighborhood
+//   amd.supernode one block per winner: sort its clique's hashes, verify
+//                 equal ones exactly, merge indistinguishable vertices
 //
 // After the rounds, ord.fillgate counts the exact fill of the AMD result
-// and of an RCM candidate (fill2 per-row reachability, block-parallel)
-// and keeps the better ordering — the fill-quality gate of DESIGN.md 6i.
+// and of an RCM candidate with symbolic's stage-1 pass and keeps the
+// better ordering — the fill-quality gate of DESIGN.md 6i.
 
 #include <algorithm>
 #include <limits>
@@ -28,8 +31,8 @@
 #include "preprocess/parallel/parallel_preprocess.hpp"
 #include "preprocess/sym_graph.hpp"
 #include "support/check.hpp"
-#include "symbolic/fill2.hpp"
-#include "symbolic/workspace.hpp"
+#include "symbolic/symbolic.hpp"
+#include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace e2elu::preprocess {
@@ -37,6 +40,12 @@ namespace e2elu::preprocess {
 namespace {
 
 constexpr std::int64_t kVertsPerBlock = 256;
+
+/// Multiple-elimination window: a round's pivot candidates are the
+/// vertices with degree <= (1 + kDegreeSlack) * min_degree. Wider windows
+/// eliminate more pivots per round (fewer rounds, more parallelism) at
+/// some fill cost; the bench gate bounds that cost.
+constexpr double kDegreeSlack = 0.10;
 
 std::int64_t blocks_for(std::int64_t count) {
   return std::max<std::int64_t>(1, (count + kVertsPerBlock - 1) /
@@ -50,19 +59,12 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-}  // namespace
-
-Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
-                                         const PreprocessOptions& opt,
-                                         MinDegreeStats* stats) {
-  TRACE_SPAN("preprocess.ordering", dev,
-             {{"method", "parallel_amd"}, {"n", a.n}});
-  const index_t n = a.n;
-  if (n == 0) return {};
-
-  const gpusim::DeviceStats base = dev.snapshot();
-  const SymGraph g = symmetrize(a);
-
+/// The independent-set rounds, plus the densify guard's RCM tail: the AMD
+/// candidate. Records the round statistics in `st`. The round state's
+/// device buffers are released on return, before the fill gate runs.
+Permutation amd_rounds(gpusim::Device& dev, const SymGraph& g, index_t n,
+                       const PreprocessOptions& opt, double warp_eff,
+                       MinDegreeStats& st) {
   // Device residency: the input graph plus the per-vertex round state.
   // The elimination graph's growth past the upload is bounded by the
   // densify_cap guard below, which bails to RCM before the arena would
@@ -72,7 +74,6 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
       dev, std::max<std::size_t>(std::size_t{1}, g.adj.size()));
   if (!g.adj.empty()) dadj.copy_from_host(std::span<const index_t>(g.adj));
   gpusim::DeviceBuffer<index_t> ddeg(dev, static_cast<std::size_t>(n));
-  gpusim::DeviceBuffer<std::uint64_t> dhash(dev, static_cast<std::size_t>(n));
   gpusim::DeviceBuffer<std::uint8_t> dflags(dev, static_cast<std::size_t>(n));
 
   // Host mirrors of the (dynamic) elimination graph. Kernel bodies are
@@ -92,15 +93,11 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
   // 5-clique, and selecting by the unweighted count wrecks fill on
   // supernode-rich graphs (~30% on the pre2 stand-in).
   std::vector<index_t> weight(n, 1);
-  std::vector<std::uint64_t> hash(n, 0);
 
-  const double avg_deg =
-      static_cast<double>(g.adj.size()) / std::max<index_t>(n, 1);
-  const double warp_eff = dev.spec().simt_efficiency(std::max(avg_deg, 1.0));
   const std::int64_t vert_blocks = blocks_for(n);
 
-  std::size_t live = g.adj.size();
-  std::size_t peak = live;
+  std::size_t live = 0;
+  std::size_t peak = g.adj.size();
   const double cap =
       opt.densify_cap *
       static_cast<double>(std::max<std::size_t>(g.adj.size(), 64));
@@ -112,24 +109,28 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
   index_t rounds = 0;
   index_t merged_total = 0;
   index_t alive_count = n;
+  index_t dmin = 0;
 
+  // The round hash is recomputed from (seed, round, v) wherever two
+  // priorities are compared; no per-vertex hash array exists.
+  auto hash = [&](index_t v) {
+    return splitmix64(opt.seed ^ (static_cast<std::uint64_t>(rounds) << 32) ^
+                      static_cast<std::uint64_t>(v));
+  };
   auto prio_less = [&](index_t x, index_t y) {
     if (deg[x] != deg[y]) return deg[x] < deg[y];
-    if (hash[x] != hash[y]) return hash[x] < hash[y];
+    const std::uint64_t hx = hash(x), hy = hash(y);
+    if (hx != hy) return hx < hy;
     return x < y;
   };
 
-  while (alive_count > 0) {
-    if (static_cast<double>(live) > cap) {
-      fallback_at = static_cast<index_t>(order.size());
-      break;
-    }
-    ++rounds;
-
-    // --- amd.degree: degrees, round priorities, min-degree reduce ------
+  // --- amd.compress_degree: the round's one pass over adjacency --------
+  const auto compress_degree = [&] {
     std::vector<index_t> block_min(static_cast<std::size_t>(vert_blocks),
                                    std::numeric_limits<index_t>::max());
-    dev.launch({.name = "amd.degree",
+    std::vector<std::size_t> block_live(static_cast<std::size_t>(vert_blocks),
+                                        0);
+    dev.launch({.name = "amd.compress_degree",
                 .blocks = vert_blocks,
                 .threads_per_block = static_cast<int>(kVertsPerBlock),
                 .warp_efficiency = warp_eff},
@@ -139,26 +140,45 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
                      std::min<index_t>(n, lo + static_cast<index_t>(
                                                    kVertsPerBlock));
                  index_t local_min = std::numeric_limits<index_t>::max();
-                 std::uint64_t scanned = 0;
+                 std::uint64_t work = 0;
+                 std::size_t kept = 0;
                  for (index_t v = lo; v < hi; ++v) {
                    if (!alive[v]) continue;
+                   auto& av = adj[v];
+                   work += av.size();
+                   std::size_t w = 0;
                    index_t d = 0;
-                   for (index_t u : adj[v]) d += weight[u];
-                   scanned += adj[v].size();
+                   for (index_t u : av) {
+                     if (!alive[u]) continue;
+                     av[w++] = u;
+                     d += weight[u];
+                   }
+                   av.resize(w);
+                   kept += w;
                    deg[v] = d;
-                   hash[v] = splitmix64(
-                       opt.seed ^
-                       (static_cast<std::uint64_t>(rounds) << 32) ^
-                       static_cast<std::uint64_t>(v));
-                   local_min = std::min(local_min, deg[v]);
+                   local_min = std::min(local_min, d);
                  }
                  block_min[static_cast<std::size_t>(b)] = local_min;
-                 ctx.add_ops(scanned + static_cast<std::uint64_t>(hi - lo));
+                 block_live[static_cast<std::size_t>(b)] = kept;
+                 ctx.add_ops(work + static_cast<std::uint64_t>(hi - lo));
                });
-    index_t dmin = std::numeric_limits<index_t>::max();
+    dmin = std::numeric_limits<index_t>::max();
     for (index_t m : block_min) dmin = std::min(dmin, m);  // commutative
+    live = 0;
+    for (std::size_t k : block_live) live += k;  // commutative
+    peak = std::max(peak, live);
+  };
+
+  compress_degree();
+  while (alive_count > 0) {
+    if (static_cast<double>(live) > cap) {
+      fallback_at = static_cast<index_t>(order.size());
+      break;
+    }
+    ++rounds;
+
     const index_t thresh = static_cast<index_t>(
-        (1.0 + opt.degree_slack) * static_cast<double>(dmin));
+        (1.0 + kDegreeSlack) * static_cast<double>(dmin));
     auto is_candidate = [&](index_t v) { return alive[v] && deg[v] <= thresh; };
 
     // --- amd.select: distance-2 priority contest -----------------------
@@ -205,21 +225,6 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
                     "parallel AMD round produced no winner — the global "
                     "minimum-priority candidate cannot lose");
 
-    // Bounded multiple elimination: keep only the round_elim_fraction
-    // smallest-priority winners. Mass-eliminating every locally minimal
-    // candidate drifts from the serial oracle's fill (it re-picks the
-    // global minimum after every single elimination); the bound
-    // interpolates between serial quality (one winner) and maximal
-    // round parallelism. Deterministic: priorities are total-ordered.
-    const std::size_t keep = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               opt.round_elim_fraction * static_cast<double>(winners.size())));
-    if (winners.size() > keep) {
-      std::sort(winners.begin(), winners.end(), prio_less);
-      winners.resize(keep);
-      std::sort(winners.begin(), winners.end());
-    }
-
     for (index_t v : winners) {
       order.push_back(v);
       ordered[v] = true;
@@ -231,55 +236,77 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
       --alive_count;
     }
 
-    // --- amd.eliminate: one block per winner ---------------------------
+    // --- amd.eliminate: one block per (winner, clique member) ----------
     // Distance-2 independence => each clique member u belongs to exactly
-    // one winner's clique, so the rebuild of adj[u] (and any supernode
-    // merge of u) is owned by exactly one block.
-    std::vector<index_t> round_merged(winners.size(), 0);
+    // one winner's clique, so exactly one block rebuilds adj[u]; the
+    // winners' own lists are only read. Winner w's members are blocks
+    // [clique_ptr[w], clique_ptr[w + 1]).
+    std::vector<std::size_t> clique_ptr(winners.size() + 1, 0);
+    for (std::size_t w = 0; w < winners.size(); ++w) {
+      clique_ptr[w + 1] = clique_ptr[w] + adj[winners[w]].size();
+    }
+    std::vector<std::uint64_t> signature(clique_ptr.back());
     dev.launch(
         {.name = "amd.eliminate",
+         .blocks = static_cast<std::int64_t>(clique_ptr.back()),
+         .threads_per_block = static_cast<int>(kVertsPerBlock),
+         .warp_efficiency = warp_eff},
+        [&](std::int64_t b, gpusim::KernelContext& ctx) {
+          const auto pair = static_cast<std::size_t>(b);
+          const auto w = static_cast<std::size_t>(
+              std::upper_bound(clique_ptr.begin(), clique_ptr.end(), pair) -
+              clique_ptr.begin() - 1);
+          const index_t v = winners[w];
+          const std::vector<index_t>& clique = adj[v];  // sorted, all live
+          const index_t u = clique[pair - clique_ptr[w]];
+          // adj[u] := (adj[u] \ {v}) ∪ (clique \ {u}), sorted merge.
+          const auto& au = adj[u];
+          std::vector<index_t> merged;
+          merged.reserve(au.size() + clique.size());
+          std::size_t x = 0, y = 0;
+          while (x < au.size() || y < clique.size()) {
+            index_t cand;
+            if (y == clique.size() ||
+                (x < au.size() && au[x] < clique[y])) {
+              cand = au[x++];
+            } else if (x == au.size() || clique[y] < au[x]) {
+              cand = clique[y++];
+            } else {
+              cand = au[x];
+              ++x;
+              ++y;
+            }
+            if (cand != v && cand != u) merged.push_back(cand);
+          }
+          std::uint64_t work = au.size() + clique.size();
+          adj[u] = std::move(merged);
+          // Commutative closed-neighborhood hash: equal sets hash equal.
+          std::uint64_t h = splitmix64(static_cast<std::uint64_t>(u));
+          for (index_t z : adj[u]) {
+            h += splitmix64(static_cast<std::uint64_t>(z));
+          }
+          work += adj[u].size();
+          signature[pair] = h;
+          ctx.add_ops(work);
+        });
+
+    // --- amd.supernode: one block per winner ---------------------------
+    // Exact verification of each equal-hash group against its smallest
+    // id, then the merge; every vertex touched is in this winner's clique.
+    std::vector<index_t> round_merged(winners.size(), 0);
+    dev.launch(
+        {.name = "amd.supernode",
          .blocks = static_cast<std::int64_t>(winners.size()),
          .threads_per_block = static_cast<int>(kVertsPerBlock),
          .warp_efficiency = warp_eff},
         [&](std::int64_t b, gpusim::KernelContext& ctx) {
-          const index_t v = winners[static_cast<std::size_t>(b)];
-          const std::vector<index_t> clique = adj[v];  // sorted, all live
+          const auto w = static_cast<std::size_t>(b);
+          const index_t v = winners[w];
           std::uint64_t work = 0;
-          std::vector<index_t> merged_buf;
-          for (index_t u : clique) {
-            // adj[u] := (adj[u] \ {v}) ∪ (clique \ {u}), sorted merge.
-            merged_buf.clear();
-            merged_buf.reserve(adj[u].size() + clique.size());
-            std::size_t x = 0, y = 0;
-            const auto& au = adj[u];
-            while (x < au.size() || y < clique.size()) {
-              index_t cand;
-              if (y == clique.size() ||
-                  (x < au.size() && au[x] < clique[y])) {
-                cand = au[x++];
-              } else if (x == au.size() || clique[y] < au[x]) {
-                cand = clique[y++];
-              } else {
-                cand = au[x];
-                ++x;
-                ++y;
-              }
-              if (cand != v && cand != u) merged_buf.push_back(cand);
-            }
-            work += au.size() + clique.size();
-            adj[u] = merged_buf;
-          }
-          // Supernode detection: commutative closed-neighborhood hash,
-          // then exact verification against the group's smallest id.
           std::vector<std::pair<std::uint64_t, index_t>> sig;
-          sig.reserve(clique.size());
-          for (index_t u : clique) {
-            std::uint64_t h = splitmix64(static_cast<std::uint64_t>(u));
-            for (index_t w : adj[u]) {
-              h += splitmix64(static_cast<std::uint64_t>(w));
-            }
-            work += adj[u].size();
-            sig.emplace_back(h, u);
+          sig.reserve(adj[v].size());
+          for (std::size_t k = 0; k < adj[v].size(); ++k) {
+            sig.emplace_back(signature[clique_ptr[w] + k], adj[v][k]);
           }
           std::sort(sig.begin(), sig.end());
           auto closed_equal = [&](index_t p, index_t q) {
@@ -329,7 +356,7 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
             }
             i = j;
           }
-          round_merged[static_cast<std::size_t>(b)] = merged_here;
+          round_merged[w] = merged_here;
           adj[v].clear();
           ctx.add_ops(work);
         });
@@ -338,37 +365,7 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
       alive_count -= m;
     }
 
-    // --- amd.compress: drop dead entries, count live adjacency ---------
-    std::vector<std::size_t> block_live(static_cast<std::size_t>(vert_blocks),
-                                        0);
-    dev.launch({.name = "amd.compress",
-                .blocks = vert_blocks,
-                .threads_per_block = static_cast<int>(kVertsPerBlock),
-                .warp_efficiency = warp_eff},
-               [&](std::int64_t b, gpusim::KernelContext& ctx) {
-                 const index_t lo = static_cast<index_t>(b * kVertsPerBlock);
-                 const index_t hi =
-                     std::min<index_t>(n, lo + static_cast<index_t>(
-                                                   kVertsPerBlock));
-                 std::uint64_t work = 0;
-                 std::size_t kept = 0;
-                 for (index_t v = lo; v < hi; ++v) {
-                   if (!alive[v]) continue;
-                   auto& av = adj[v];
-                   work += av.size();
-                   av.erase(std::remove_if(av.begin(), av.end(),
-                                           [&](index_t w) {
-                                             return !alive[w];
-                                           }),
-                            av.end());
-                   kept += av.size();
-                 }
-                 block_live[static_cast<std::size_t>(b)] = kept;
-                 ctx.add_ops(work + static_cast<std::uint64_t>(hi - lo));
-               });
-    live = 0;
-    for (std::size_t k : block_live) live += k;  // commutative
-    peak = std::max(peak, live);
+    if (alive_count > 0) compress_degree();
   }
 
   if (fallback_at >= 0) {
@@ -388,78 +385,69 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
   }
   E2ELU_CHECK(static_cast<index_t>(order.size()) == n);
 
+  st.peak_adjacency = peak;
+  st.rcm_fallback_at = fallback_at;
+  st.rounds = rounds;
+  st.supernodes_merged = merged_total;
+  return order;
+}
+
+}  // namespace
+
+Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
+                                         const PreprocessOptions& opt,
+                                         MinDegreeStats* stats) {
+  trace::Span span("preprocess.ordering", dev,
+                   {{"method", "parallel_amd"}, {"n", a.n}});
+  const index_t n = a.n;
+  if (n == 0) return {};
+
+  const gpusim::DeviceStats base = dev.snapshot();
+  const SymGraph g = symmetrize(a);
+  const double avg_deg =
+      static_cast<double>(g.adj.size()) / std::max<index_t>(n, 1);
+  const double warp_eff = dev.spec().simt_efficiency(std::max(avg_deg, 1.0));
+  MinDegreeStats st;
+  Permutation order = amd_rounds(dev, g, n, opt, warp_eff, st);
+
   // --- ord.fillgate: exact fill-quality gate over two candidates -------
   // The rounds trade the serial oracle's one-pivot-at-a-time re-pick for
   // parallelism, and on strongly banded patterns the randomized
   // tie-breaking costs 10-20% fill where the oracle's id-order sweep is
   // near-optimal. Rather than tune tie-breaking per pattern class, also
   // build the RCM candidate and keep whichever ordering's exact fill is
-  // smaller (ties prefer AMD). Fill is counted with the fill2 per-row
-  // reachability (independent rows), so the count runs block-parallel at
-  // full occupancy instead of paying the rowmerge's sequential chain;
-  // both counts are deterministic (commutative per-block sums), so the
-  // pick is too.
-  {
-    std::uint64_t rcm_ops = 0;
-    std::vector<bool> none(static_cast<std::size_t>(n), false);
-    Permutation rcm = rcm_on_graph(g, n, none, rcm_ops);
-    dev.launch({.name = "ord.rcm_candidate",
-                .blocks = vert_blocks,
-                .threads_per_block = static_cast<int>(kVertsPerBlock),
-                .warp_efficiency = warp_eff},
-               [&](std::int64_t b, gpusim::KernelContext& ctx) {
-                 if (b == 0) ctx.add_ops(rcm_ops);
-               });
+  // smaller (ties prefer AMD). Each count is symbolic's stage-1 pass on
+  // the permuted pattern, and both are deterministic, so the pick is too.
+  std::uint64_t rcm_ops = 0;
+  Permutation rcm =
+      rcm_on_graph(g, n, std::vector<bool>(static_cast<std::size_t>(n), false),
+                   rcm_ops);
+  dev.launch({.name = "ord.rcm_candidate",
+              .blocks = blocks_for(n),
+              .threads_per_block = static_cast<int>(kVertsPerBlock),
+              .warp_efficiency = warp_eff},
+             [&](std::int64_t b, gpusim::KernelContext& ctx) {
+               if (b == 0) ctx.add_ops(rcm_ops);
+             });
+  Csr pattern = a;
+  pattern.values.clear();
+  const auto gate_fill = [&](const Permutation& p) {
+    return symbolic::count_fill_out_of_core(dev, permute(pattern, p, p),
+                                            "ord.fillgate");
+  };
+  st.gate_fill_amd = gate_fill(order);
+  st.gate_fill_rcm = gate_fill(rcm);
+  const bool pick_rcm = st.gate_fill_rcm < st.gate_fill_amd;
+  if (pick_rcm) order = std::move(rcm);
+  span.attr("fill_amd", st.gate_fill_amd);
+  span.attr("fill_rcm", st.gate_fill_rcm);
+  span.attr("pick", pick_rcm ? "rcm" : "amd");
+  trace::MetricsRegistry::global()
+      .counter("preprocess.ordering.rcm_picks")
+      .add(pick_rcm ? 1 : 0);
 
-    const Permutation* cand[2] = {&order, &rcm};
-    Csr permuted[2];
-    for (int c = 0; c < 2; ++c) {
-      Csr pattern = a;
-      pattern.values.clear();
-      permuted[c] = permute(pattern, *cand[c], *cand[c]);
-    }
-    std::vector<offset_t> block_fill(
-        static_cast<std::size_t>(2 * vert_blocks), 0);
-    dev.launch(
-        {.name = "ord.fillgate",
-         .blocks = 2 * vert_blocks,
-         .threads_per_block = static_cast<int>(kVertsPerBlock),
-         .warp_efficiency = warp_eff},
-        [&](std::int64_t b, gpusim::KernelContext& ctx) {
-          const int c = static_cast<int>(b / vert_blocks);
-          const std::int64_t chunk = b % vert_blocks;
-          const index_t lo = static_cast<index_t>(chunk * kVertsPerBlock);
-          const index_t hi =
-              std::min<index_t>(n, lo + static_cast<index_t>(kVertsPerBlock));
-          std::vector<index_t> slice(symbolic::PlainWorkspace::slots(n, n),
-                                     -1);
-          auto ws = symbolic::PlainWorkspace::from_slice({slice}, n);
-          offset_t count = 0;
-          std::uint64_t work = 0;
-          for (index_t src = lo; src < hi; ++src) {
-            const symbolic::RowStats st =
-                symbolic::fill2_row(permuted[c], src, ws, [](index_t) {});
-            E2ELU_CHECK(!st.overflow);
-            count += st.fill_count;
-            work += st.ops;
-          }
-          block_fill[static_cast<std::size_t>(b)] = count;
-          ctx.add_ops(work + static_cast<std::uint64_t>(hi - lo));
-        });
-    offset_t fill[2] = {0, 0};
-    for (std::int64_t b = 0; b < 2 * vert_blocks; ++b) {  // commutative
-      fill[b / vert_blocks] += block_fill[static_cast<std::size_t>(b)];
-    }
-    if (fill[1] < fill[0]) order = std::move(rcm);
-  }
-
-  if (stats) {
-    stats->peak_adjacency = peak;
-    stats->rcm_fallback_at = fallback_at;
-    stats->ops = dev.stats().kernel_ops - base.kernel_ops;
-    stats->rounds = rounds;
-    stats->supernodes_merged = merged_total;
-  }
+  st.ops = dev.stats().kernel_ops - base.kernel_ops;
+  if (stats) *stats = st;
   return order;
 }
 

@@ -44,18 +44,6 @@ struct PreprocessOptions {
   /// kernels is either write-disjoint or a commutative reduction, so the
   /// pool's execution order never reaches the result.
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-  /// Multiple-elimination window: a round's pivot candidates are the
-  /// vertices with degree <= (1 + degree_slack) * min_degree. Wider
-  /// windows eliminate more pivots per round (fewer rounds, more
-  /// parallelism) at some fill cost; the bench gate bounds that cost.
-  double degree_slack = 0.10;
-  /// Bounded multiple elimination: each round keeps only this fraction of
-  /// its distance-2 independent winners (smallest priority first, at
-  /// least one). 1.0 eliminates every winner; smaller fractions trade
-  /// rounds for a closer march to the serial oracle's one-at-a-time
-  /// re-pick when a pattern needs it (with weighted external degrees the
-  /// fig4 suite does not).
-  double round_elim_fraction = 1.0;
   /// Elimination-graph densification cap, as a multiple of nnz(A + A^T):
   /// once the live elimination graph exceeds it, minimum degree (serial
   /// and parallel) stops and orders the remaining vertices by RCM — the
@@ -81,6 +69,10 @@ struct MinDegreeStats {
   index_t rounds = 0;
   /// Vertices absorbed into supernodes (parallel mode only).
   index_t supernodes_merged = 0;
+  /// The fill gate's exact nnz(L+U) of the AMD result and of the RCM
+  /// candidate (parallel mode only); the smaller one wins, ties to AMD.
+  offset_t gate_fill_amd = 0;
+  offset_t gate_fill_rcm = 0;
 };
 
 /// True iff p is a bijection on [0, n).

@@ -11,6 +11,9 @@
 // queues bounded by the observed frontier (a much smaller footprint), so
 // their chunks — and with them the number of concurrently resident
 // thread blocks — are larger.
+//
+// count_fill_out_of_core runs Algorithm 3's stage 1 alone: it is how the
+// parallel ordering's fill gate sizes nnz(L+U) of its candidates.
 
 #include <algorithm>
 #include <cmath>
@@ -128,6 +131,33 @@ using StageBody = std::function<bool(index_t, PlainWorkspace&,
 using PassRunner =
     std::function<PassResult(const char*, const StageBody&)>;
 
+/// Stage 1 (symbolic_1): every row's fill count into `counts`.
+PassResult count_stage(const Csr& a, const char* name,
+                       const PassRunner& run_pass,
+                       gpusim::DeviceBuffer<index_t>& counts) {
+  return run_pass(name, [&](index_t row, PlainWorkspace& ws,
+                            gpusim::KernelContext& ctx) {
+    const RowStats st = fill2_row(a, row, ws, [](index_t) {});
+    if (st.overflow) return true;
+    counts[static_cast<std::size_t>(row)] = st.fill_count;
+    ctx.add_ops(st.ops);
+    return false;
+  });
+}
+
+/// Algorithm 3's row schedule: every row in order, one block per row,
+/// full-size queues, chunks sized to the device's free memory.
+PassRunner all_rows_runner(gpusim::Device& dev, const Csr& a) {
+  std::vector<index_t> rows(static_cast<std::size_t>(a.n));
+  std::iota(rows.begin(), rows.end(), 0);
+  return [&dev, &a, rows = std::move(rows),
+          warp_eff = warp_eff_for(dev, a)](const char* name,
+                                           const StageBody& body) {
+    return chunked_pass(dev, a, rows, static_cast<std::size_t>(a.n),
+                        warp_eff, name, body, nullptr);
+  };
+}
+
 SymbolicResult two_stage_symbolic(gpusim::Device& dev, const Csr& a,
                                   const PassRunner& run_pass) {
   WallTimer timer;
@@ -141,15 +171,7 @@ SymbolicResult two_stage_symbolic(gpusim::Device& dev, const Csr& a,
   gpusim::DeviceBuffer<index_t> d_fill_count(dev, static_cast<std::size_t>(n));
   {
     TRACE_SPAN("symbolic.stage1", dev, {{"rows", n}});
-    const PassResult pr = run_pass(
-        "symbolic_1",
-        [&](index_t row, PlainWorkspace& ws, gpusim::KernelContext& ctx) {
-          const RowStats st = fill2_row(a, row, ws, [](index_t) {});
-          if (st.overflow) return true;
-          d_fill_count[static_cast<std::size_t>(row)] = st.fill_count;
-          ctx.add_ops(st.ops);
-          return false;
-        });
+    const PassResult pr = count_stage(a, "symbolic_1", run_pass, d_fill_count);
     res.chunk_rows = pr.chunk_rows;
     res.num_chunks = pr.num_chunks;
   }
@@ -214,16 +236,18 @@ SymbolicResult symbolic_out_of_core(gpusim::Device& dev, const Csr& a,
   // it is the O(n)-per-row scratch that does not).
   gpusim::DeviceBuffer<offset_t> d_row_ptr(dev, std::span(a.row_ptr));
   gpusim::DeviceBuffer<index_t> d_col_idx(dev, std::span(a.col_idx));
+  return two_stage_symbolic(dev, a, all_rows_runner(dev, a));
+}
 
-  std::vector<index_t> all_rows(static_cast<std::size_t>(a.n));
-  std::iota(all_rows.begin(), all_rows.end(), 0);
-  const double warp_eff = warp_eff_for(dev, a);
-
-  return two_stage_symbolic(
-      dev, a, [&](const char* name, const StageBody& body) {
-        return chunked_pass(dev, a, all_rows, static_cast<std::size_t>(a.n),
-                            warp_eff, name, body, nullptr);
-      });
+offset_t count_fill_out_of_core(gpusim::Device& dev, const Csr& a,
+                                const char* kernel) {
+  gpusim::DeviceBuffer<offset_t> d_row_ptr(dev, std::span(a.row_ptr));
+  gpusim::DeviceBuffer<index_t> d_col_idx(dev, std::span(a.col_idx));
+  gpusim::DeviceBuffer<index_t> d_fill_count(dev,
+                                              static_cast<std::size_t>(a.n));
+  count_stage(a, kernel, all_rows_runner(dev, a), d_fill_count);
+  return std::accumulate(d_fill_count.data(), d_fill_count.data() + a.n,
+                         offset_t{0});
 }
 
 SymbolicResult symbolic_out_of_core_dynamic(gpusim::Device& dev, const Csr& a,

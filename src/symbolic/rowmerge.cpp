@@ -65,12 +65,10 @@ Csr symbolic_rowmerge(const Csr& a, std::uint64_t* ops) {
   return out;
 }
 
-offset_t fill_of_ordering(const Csr& a, const std::vector<index_t>& p,
-                          std::uint64_t* ops) {
+offset_t fill_of_ordering(const Csr& a, const std::vector<index_t>& p) {
   Csr pattern = a;
   pattern.values.clear();  // permute/rowmerge only need the structure
-  if (ops) *ops += 2 * static_cast<std::uint64_t>(a.nnz());  // permute
-  return symbolic_rowmerge(permute(pattern, p, p), ops).nnz();
+  return symbolic_rowmerge(permute(pattern, p, p)).nnz();
 }
 
 }  // namespace e2elu::symbolic

@@ -18,6 +18,9 @@
 //   symbolic_unified_memory
 //                        scratch in managed memory, one launch for all
 //                        rows; optional prefetching (Figures 5/6, Table 3).
+//   count_fill_out_of_core
+//                        Algorithm 3's stage 1 alone: nnz(L+U) without
+//                        the pattern (the parallel ordering's fill gate).
 #pragma once
 
 #include <cstdint>
@@ -79,6 +82,14 @@ SymbolicResult symbolic_out_of_core_multipart(gpusim::Device& device,
                                               const Csr& a, index_t parts,
                                               const SymbolicOptions& opt = {});
 
+/// Algorithm 3's stage 1 (symbolic_1) alone: nnz(L+U) of `a`, counted
+/// one block per source row with the per-row scratch chunked to the
+/// device's free memory (halving the chunk when the allocation fails).
+/// `kernel` names the launches. Same counts as symbolic_out_of_core's
+/// fill_count, without stage 2 or the pattern allocation.
+offset_t count_fill_out_of_core(gpusim::Device& device, const Csr& a,
+                                const char* kernel);
+
 /// Unified-memory driver; `prefetch` enables cudaMemPrefetchAsync-style
 /// staging of each row window's fill arrays.
 SymbolicResult symbolic_unified_memory(gpusim::Device& device, const Csr& a,
@@ -106,12 +117,10 @@ std::vector<index_t> frontier_profile(const Csr& a);
 
 /// Fill-quality audit hook for ordering comparisons: nnz(L+U) of A
 /// symmetrically permuted by `p` (rowmerge oracle on the permuted
-/// pattern). The parallel-preprocessing bench gates the GPU AMD against
-/// the serial oracle with this number, and the parallel ordering's
-/// fill-quality gate uses it to pick between its AMD and RCM candidates.
-/// `ops` (optional) accumulates the merge work performed — the cost-model
-/// input when the count runs as a device kernel.
-offset_t fill_of_ordering(const Csr& a, const std::vector<index_t>& p,
-                          std::uint64_t* ops = nullptr);
+/// pattern, host only). The parallel-preprocessing bench gates the GPU
+/// AMD against the serial oracle with this number, and the tests check
+/// the parallel ordering's on-device fill gate (count_fill_out_of_core)
+/// against it.
+offset_t fill_of_ordering(const Csr& a, const std::vector<index_t>& p);
 
 }  // namespace e2elu::symbolic

@@ -1,6 +1,7 @@
 // GPU-parallel pre-processing (preprocess/parallel/): serial-vs-parallel
 // equivalence (matching validity, fill quality, bit-identical scaling),
-// determinism across thread-pool sizes (the DESIGN.md 6i rule), the
+// determinism across thread-pool sizes (the DESIGN.md 6i rule), pinned
+// ordering outputs, the fill gate's chunked on-device count, the
 // structured StructurallySingular error, the densification guard on the
 // parallel path, and the end-to-end pipeline under
 // PreprocessMode::GpuParallel.
@@ -8,18 +9,25 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
 
 #include "core/factor_error.hpp"
 #include "core/sparse_lu.hpp"
+#include "fault/fault.hpp"
 #include "gpusim/device.hpp"
 #include "matrix/convert.hpp"
 #include "matrix/generators.hpp"
 #include "preprocess/parallel/parallel_preprocess.hpp"
 #include "preprocess/preprocess.hpp"
+#include "service/structure_hash.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
+#include "symbolic/fill2.hpp"
 #include "symbolic/symbolic.hpp"
+#include "trace/metrics.hpp"
+#include "trace/trace.hpp"
 
 namespace e2elu {
 namespace {
@@ -57,6 +65,79 @@ Csr shifted_cycle(index_t n) {
     coo.add(i, (i + 7) % n, 1.0);
   }
   return coo_to_csr(coo);
+}
+
+// Ordering fixtures.
+
+Csr shuffled_grid() {
+  const Csr grid = gen_grid2d(18, 18);
+  const Permutation shuffle = random_perm(grid.n, 8);
+  return permute(grid, shuffle, shuffle);
+}
+
+Csr ordering_circuit() { return gen_circuit(350, 4.0, 3, 14, 77); }
+
+Csr ordering_planar() { return gen_blocked_planar(300, 30, 3.2, 4, 10); }
+
+/// A dense 8-clique of indistinguishable vertices beside a sparse cycle.
+Csr supernode_clique() {
+  Coo coo;
+  coo.n = 24;
+  for (index_t i = 0; i < 8; ++i) {
+    for (index_t j = 0; j < 8; ++j) coo.add(i, j, 1.0);  // dense 8-clique
+  }
+  for (index_t i = 8; i < 24; ++i) {
+    coo.add(i, i, 1.0);
+    coo.add(i, (i + 1 == 24 ? 8 : i + 1), 1.0);  // sparse cycle alongside
+  }
+  return coo_to_csr(coo);
+}
+
+/// Dense-ish random pattern whose elimination blows up quadratically;
+/// ordered with densify_cap_low() it trips the densification guard.
+Csr densify_case() {
+  Rng rng(4242);
+  Coo coo;
+  coo.n = 160;
+  for (index_t i = 0; i < coo.n; ++i) {
+    coo.add(i, i, 4.0);
+    for (int k = 0; k < 6; ++k) {
+      const auto j = static_cast<index_t>(rng.next_below(coo.n));
+      if (j != i) coo.add(i, j, 1.0);
+    }
+  }
+  return coo_to_csr(coo);
+}
+
+PreprocessOptions densify_cap_low() {
+  PreprocessOptions opt;
+  opt.densify_cap = 1.05;  // low cap: force the guard
+  return opt;
+}
+
+/// FNV-1a over the bytes of a permutation's index array.
+std::uint64_t perm_hash(const Permutation& p) {
+  return service::hash_words_fnv1a(14695981039346656037ull, p.data(),
+                                   p.size() * sizeof(index_t));
+}
+
+/// Arms the tracer with a clean slate and disarms it on scope exit.
+struct Recording {
+  Recording() {
+    trace::Tracer::instance().enable();
+    trace::Tracer::instance().clear();
+  }
+  ~Recording() {
+    trace::Tracer::instance().disable();
+    trace::Tracer::instance().clear();
+  }
+};
+
+const trace::Attr* find_attr(const trace::SpanRecord& r, const char* key) {
+  for (std::uint32_t i = 0; i < r.num_attrs; ++i) {
+    if (std::strcmp(r.attrs[i].key, key) == 0) return &r.attrs[i];
+  }
+  return nullptr;
 }
 
 // ---------------------------------------------------------- matching --
@@ -149,13 +230,8 @@ TEST(ParallelPreprocess, MatchingStructuredErrorNamesColumns) {
 TEST(ParallelPreprocess, AmdFillWithinBandOfSerialOracle) {
   // The bench gate in miniature: on every test matrix the parallel
   // ordering's fill must land within 10% of (or beat) the serial oracle.
-  const Csr grid = gen_grid2d(18, 18);
-  const Permutation shuffle = random_perm(grid.n, 8);
-  std::vector<Csr> suite;
-  suite.push_back(permute(grid, shuffle, shuffle));
-  suite.push_back(gen_circuit(350, 4.0, 3, 14, 77));
-  suite.push_back(gen_blocked_planar(300, 30, 3.2, 4, 10));
-  for (const Csr& a : suite) {
+  for (const Csr& a :
+       {shuffled_grid(), ordering_circuit(), ordering_planar()}) {
     MinDegreeStats serial_stats;
     const Permutation ps = min_degree_ordering(a, {}, &serial_stats);
     gpusim::Device dev = test_device();
@@ -164,10 +240,13 @@ TEST(ParallelPreprocess, AmdFillWithinBandOfSerialOracle) {
     ASSERT_TRUE(is_permutation(pp));
     const auto fill_s =
         static_cast<double>(symbolic::fill_of_ordering(a, ps));
-    const auto fill_p =
-        static_cast<double>(symbolic::fill_of_ordering(a, pp));
-    EXPECT_LE(fill_p, fill_s * 1.10)
+    const offset_t fill_p = symbolic::fill_of_ordering(a, pp);
+    EXPECT_LE(static_cast<double>(fill_p), fill_s * 1.10)
         << "parallel fill " << fill_p << " vs serial " << fill_s;
+    // The gate's on-device stage-1 counts are exact: the smaller one is
+    // the returned ordering's fill by the host rowmerge oracle.
+    EXPECT_EQ(std::min(par_stats.gate_fill_amd, par_stats.gate_fill_rcm),
+              fill_p);
     EXPECT_GT(par_stats.rounds, 0);
     EXPECT_GT(par_stats.ops, 0u);
     EXPECT_GT(dev.stats().host_launches, 0u);
@@ -183,16 +262,7 @@ TEST(ParallelPreprocess, AmdHandlesDisconnectedGraphs) {
 TEST(ParallelPreprocess, AmdMergesSupernodes) {
   // A clique of indistinguishable vertices: hash-based supernode
   // detection should absorb most of them into one representative.
-  Coo coo;
-  coo.n = 24;
-  for (index_t i = 0; i < 8; ++i) {
-    for (index_t j = 0; j < 8; ++j) coo.add(i, j, 1.0);  // dense 8-clique
-  }
-  for (index_t i = 8; i < 24; ++i) {
-    coo.add(i, i, 1.0);
-    coo.add(i, (i + 1 == 24 ? 8 : i + 1), 1.0);  // sparse cycle alongside
-  }
-  const Csr a = coo_to_csr(coo);
+  const Csr a = supernode_clique();
   gpusim::Device dev = test_device();
   MinDegreeStats stats;
   const Permutation p = parallel_min_degree_ordering(dev, a, {}, &stats);
@@ -203,22 +273,11 @@ TEST(ParallelPreprocess, AmdMergesSupernodes) {
 TEST(ParallelPreprocess, DensifyGuardFallsBackToRcm) {
   // Dense-ish random pattern: elimination blows up quadratically; the
   // cap must trip on the parallel path exactly as on the serial one.
-  Rng rng(4242);
-  Coo coo;
-  coo.n = 160;
-  for (index_t i = 0; i < coo.n; ++i) {
-    coo.add(i, i, 4.0);
-    for (int k = 0; k < 6; ++k) {
-      const auto j = static_cast<index_t>(rng.next_below(coo.n));
-      if (j != i) coo.add(i, j, 1.0);
-    }
-  }
-  const Csr a = coo_to_csr(coo);
-  PreprocessOptions opt;
-  opt.densify_cap = 1.05;  // low cap: force the guard
+  const Csr a = densify_case();
   gpusim::Device dev = test_device();
   MinDegreeStats stats;
-  const Permutation p = parallel_min_degree_ordering(dev, a, opt, &stats);
+  const Permutation p =
+      parallel_min_degree_ordering(dev, a, densify_cap_low(), &stats);
   EXPECT_TRUE(is_permutation(p));
   EXPECT_GE(stats.rcm_fallback_at, 0);
   EXPECT_LT(stats.rcm_fallback_at, a.n);
@@ -226,6 +285,124 @@ TEST(ParallelPreprocess, DensifyGuardFallsBackToRcm) {
   // far below the ~n^2 entries unguarded elimination reaches here.
   EXPECT_LT(stats.peak_adjacency,
             static_cast<std::size_t>(a.n) * static_cast<std::size_t>(a.n) / 4);
+}
+
+TEST(ParallelPreprocess, OrderingOutputIsPinned) {
+  // Pinned permutations (FNV-1a). Reshaping the round kernels or the
+  // fill gate moves work between launches and must leave these intact;
+  // a change here is a change of ordering, not of cost.
+  struct Pinned {
+    const char* name;
+    Csr a;
+    PreprocessOptions opt;
+    std::uint64_t hash;
+  };
+  const Pinned fixtures[] = {
+      {"shuffled grid", shuffled_grid(), {}, 0x599142e427aca1d9ull},
+      {"circuit", ordering_circuit(), {}, 0xdf107b9c9e884418ull},
+      {"blocked planar", ordering_planar(), {}, 0x0ae98fd0c0cc97c9ull},
+      {"supernode clique", supernode_clique(), {}, 0x42eb8c583bd162a5ull},
+      {"densify guard", densify_case(), densify_cap_low(),
+       0x1b4782ab32a68e95ull},
+  };
+  ThreadPool one_thread(1);
+  ThreadPool four_threads(4);
+  for (ThreadPool* pool : {&one_thread, &four_threads}) {
+    for (const Pinned& f : fixtures) {
+      gpusim::Device dev = test_device();
+      dev.use_pool(*pool);
+      EXPECT_EQ(perm_hash(parallel_min_degree_ordering(dev, f.a, f.opt)),
+                f.hash)
+          << f.name << " on " << pool->num_threads() << " thread(s)";
+    }
+  }
+}
+
+TEST(ParallelPreprocess, GateDecisionIsTraced) {
+  // The ordering span names both candidates' fill and the pick, and the
+  // rcm_picks counter ticks exactly when RCM wins. The shuffled grid is
+  // an AMD win; a narrow band (bandwidth 2) is an RCM win by one entry.
+  trace::Counter& rcm_picks = trace::MetricsRegistry::global().counter(
+      "preprocess.ordering.rcm_picks");
+  const std::pair<Csr, bool> cases[] = {{shuffled_grid(), false},
+                                        {gen_banded(300, 2, 5.0, 3), true}};
+  for (const auto& [a, rcm] : cases) {
+    Recording rec;
+    gpusim::Device dev = test_device();
+    MinDegreeStats stats;
+    const std::uint64_t picks_before = rcm_picks.value();
+    parallel_min_degree_ordering(dev, a, {}, &stats);
+    trace::Tracer::instance().disable();
+    EXPECT_EQ(stats.gate_fill_rcm < stats.gate_fill_amd, rcm);
+    EXPECT_EQ(rcm_picks.value() - picks_before, rcm ? 1u : 0u);
+
+    const trace::SpanRecord* span = nullptr;
+    const std::vector<trace::SpanRecord> spans =
+        trace::Tracer::instance().collect();
+    for (const trace::SpanRecord& r : spans) {
+      if (std::strcmp(r.name, "preprocess.ordering") == 0) span = &r;
+    }
+    ASSERT_NE(span, nullptr);
+    const trace::Attr* fill_amd = find_attr(*span, "fill_amd");
+    const trace::Attr* fill_rcm = find_attr(*span, "fill_rcm");
+    const trace::Attr* pick = find_attr(*span, "pick");
+    ASSERT_NE(fill_amd, nullptr);
+    ASSERT_NE(fill_rcm, nullptr);
+    ASSERT_NE(pick, nullptr);
+    EXPECT_EQ(fill_amd->value.i, stats.gate_fill_amd);
+    EXPECT_EQ(fill_rcm->value.i, stats.gate_fill_rcm);
+    EXPECT_STREQ(pick->value.s, rcm ? "rcm" : "amd");
+  }
+}
+
+TEST(ParallelPreprocess, GateChunksScratchOnASmallDevice) {
+  // 16 KiB holds the graph and one permuted candidate; the rest is four
+  // rows of fill2 scratch, so each count runs as many one-block-per-row
+  // chunks. The chunking changes launches only, never the pick.
+  const Csr a = shuffled_grid();
+  gpusim::Device big = test_device();
+  const Permutation expected = parallel_min_degree_ordering(big, a);
+
+  gpusim::Device small(gpusim::DeviceSpec::v100_with_memory(
+      (16u << 10) + 4 * symbolic::scratch_bytes_per_row(a.n)));
+  Recording rec;
+  const Permutation p = parallel_min_degree_ordering(small, a);
+  trace::Tracer::instance().disable();
+  EXPECT_EQ(p, expected);
+
+  std::uint64_t gate_launches = 0;
+  for (const trace::SpanRecord& r : trace::Tracer::instance().collect()) {
+    if (std::strcmp(r.name, "symbolic.chunk") != 0) continue;
+    const trace::Attr* stage = find_attr(r, "stage");
+    ASSERT_NE(stage, nullptr);
+    if (std::strcmp(stage->value.s, "ord.fillgate") == 0) {
+      gate_launches += r.delta.host_launches;
+    }
+  }
+  EXPECT_GT(gate_launches, 2u);
+}
+
+TEST(ParallelPreprocess, GateScratchAllocFaultRetriesSmallerChunks) {
+  // The last allocation of an ordering run is the RCM candidate's scratch.
+  // Failing it makes the stage-1 pass halve its chunk and retry; the pick
+  // is unchanged.
+  const Csr a = ordering_circuit();
+  std::uint64_t sites = 0;
+  Permutation expected;
+  {
+    fault::ScopedPlan observe{fault::FaultPlan{}};
+    gpusim::Device dev = test_device();
+    expected = parallel_min_degree_ordering(dev, a);
+    sites = fault::Injector::instance().alloc_sites();
+  }
+  trace::Counter& retries = trace::MetricsRegistry::global().counter(
+      "recovery.symbolic.chunk_retry");
+  const std::uint64_t retries_before = retries.value();
+  fault::ScopedPlan plan("alloc=" + std::to_string(sites));
+  gpusim::Device dev = test_device();
+  EXPECT_EQ(parallel_min_degree_ordering(dev, a), expected);
+  EXPECT_EQ(fault::Injector::instance().events().size(), 1u);
+  EXPECT_GT(retries.value(), retries_before);
 }
 
 // ------------------------------------------------------------ scaling --

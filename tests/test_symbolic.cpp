@@ -155,6 +155,11 @@ TEST_P(RowMergeCrossCheck, RowMergeEqualsFill2) {
   const SymbolicResult ref = symbolic_reference(a);
   const Csr merged = symbolic_rowmerge(a);
   EXPECT_TRUE(same_pattern(ref.filled, merged));
+  // The stage-1 count alone, chunked a few rows at a time.
+  gpusim::Device dev(gpusim::DeviceSpec::v100_with_memory(
+      static_cast<std::size_t>(a.nnz()) * 8 +
+      static_cast<std::size_t>(a.n) * 16 + scratch_bytes_per_row(a.n) * 5));
+  EXPECT_EQ(count_fill_out_of_core(dev, a, "symbolic_1"), ref.filled.nnz());
 }
 
 INSTANTIATE_TEST_SUITE_P(
