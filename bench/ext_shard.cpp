@@ -4,7 +4,7 @@
 // the numeric phase of one factorization across a simulated DeviceGroup
 // by partitioning the elimination forest (sharding/shard_plan.hpp) and
 // shipping cross-shard update contributions as explicit peer transfers.
-// Three sweeps, three gates:
+// Three sweeps, five gates:
 //
 //   * Scaling: blocked-planar Table-4-style meshes, 1 vs 2 vs 4 group
 //     members. These meshes decompose into hundreds of independent
@@ -13,8 +13,12 @@
 //     Gate: >= 3x simulated numeric speedup on 4 devices on every mesh,
 //     factors memcmp-identical to a single-device SparseLU run.
 //   * Figure 4 suite (Table 2): the whole mixed suite on a 4-member
-//     group, degrade decision live. Gate: factors bit-identical on every
-//     workload — sharding (or degrading) can never change an answer.
+//     group, degrade decision live. Gates: factors bit-identical on every
+//     workload — sharding (or degrading) can never change an answer — and
+//     the sharded run's preprocess (with its match/order/scale
+//     sub-phases), symbolic and levelize charges equal the single-device
+//     run's in sim time, ops and launches: both run SparseLU's pipeline,
+//     only the numeric executor differs.
 //   * Hub degradation: a circuit-style matrix whose hub columns weld the
 //     forest into one component. The model-based degrade decision must
 //     fall back to one member, making the 4-device run no worse than the
@@ -94,7 +98,21 @@ struct Fig4Row {
   int devices_used = 0;
   bool degraded = false;
   bool bit_identical = false;
+  bool charges_equal = false;  ///< pre-numeric phases; not in the JSON
 };
+
+/// True when every phase before numeric charges the same on both runs
+/// (wall time aside).
+bool pre_numeric_charges_equal(const FactorResult& a, const FactorResult& b) {
+  const auto same = [](const PhaseReport& x, const PhaseReport& y) {
+    return x.sim_us == y.sim_us && x.ops == y.ops && x.launches == y.launches;
+  };
+  return same(a.preprocess, b.preprocess) &&
+         same(a.preprocess_match, b.preprocess_match) &&
+         same(a.preprocess_order, b.preprocess_order) &&
+         same(a.preprocess_scale, b.preprocess_scale) &&
+         same(a.symbolic, b.symbolic) && same(a.levelize, b.levelize);
+}
 
 struct HubRow {
   std::string name;
@@ -194,10 +212,10 @@ int main(int argc, char** argv) {
       const FactorResult res = sharded.factorize(a, rep);
       r.bit_identical =
           r.bit_identical && factors_bit_identical(res, reference);
-      if (devices == 1) r.elapsed_1dev = rep.numeric_elapsed_us;
-      if (devices == 2) r.elapsed_2dev = rep.numeric_elapsed_us;
+      if (devices == 1) r.elapsed_1dev = res.numeric.sim_us;
+      if (devices == 2) r.elapsed_2dev = res.numeric.sim_us;
       if (devices == 4) {
-        r.elapsed_4dev = rep.numeric_elapsed_us;
+        r.elapsed_4dev = res.numeric.sim_us;
         r.components = rep.num_components;
         r.cross_edges = rep.cross_edges;
         r.balance = rep.balance;
@@ -223,9 +241,9 @@ int main(int argc, char** argv) {
   constexpr index_t kSuiteScale = 64;
   std::printf("\n=== Figure 4 suite on a 4-member group "
               "(degrade decision live) ===\n");
-  std::printf("%-5s %7s | %7s %8s | %4s\n", "abbr", "n", "devices",
-              "degraded", "bit");
-  bench::print_rule(44);
+  std::printf("%-5s %7s | %7s %8s | %4s %7s\n", "abbr", "n", "devices",
+              "degraded", "bit", "charges");
+  bench::print_rule(52);
 
   std::vector<Fig4Row> fig4;
   for (const SuiteEntry& e : table2_suite(kSuiteScale)) {
@@ -245,14 +263,16 @@ int main(int argc, char** argv) {
     r.devices_used = rep.devices_used;
     r.degraded = rep.degraded;
     r.bit_identical = factors_bit_identical(res, reference);
+    r.charges_equal = pre_numeric_charges_equal(res, reference);
     fig4.push_back(r);
 
-    std::printf("%-5s %7d | %7d %8s | %4s\n", r.abbr.c_str(), r.n,
+    std::printf("%-5s %7d | %7d %8s | %4s %7s\n", r.abbr.c_str(), r.n,
                 r.devices_used, r.degraded ? "yes" : "no",
-                r.bit_identical ? "ok" : "DIFF");
+                r.bit_identical ? "ok" : "DIFF",
+                r.charges_equal ? "ok" : "DIFF");
     std::fflush(stdout);
   }
-  bench::print_rule(44);
+  bench::print_rule(52);
 
   std::printf("\n=== Hub-coupled circuit: degrade must keep 4 devices no "
               "worse than 1 ===\n");
@@ -265,14 +285,13 @@ int main(int argc, char** argv) {
     hub.n = a.n;
 
     sharding::ShardedFactorizer one(opt, group_of(1));
-    sharding::ShardReport rep1;
-    const FactorResult res1 = one.factorize(a, rep1);
-    hub.elapsed_1dev = rep1.numeric_elapsed_us;
+    const FactorResult res1 = one.factorize(a);
+    hub.elapsed_1dev = res1.numeric.sim_us;
 
     sharding::ShardedFactorizer four(opt, group_of(4));
     sharding::ShardReport rep4;
     const FactorResult res4 = four.factorize(a, rep4);
-    hub.elapsed_4dev = rep4.numeric_elapsed_us;
+    hub.elapsed_4dev = res4.numeric.sim_us;
     hub.degraded = rep4.degraded;
     hub.bit_identical = factors_bit_identical(res1, reference) &&
                         factors_bit_identical(res4, reference);
@@ -291,9 +310,10 @@ int main(int argc, char** argv) {
     meshes_scale = meshes_scale && r.speedup_4dev >= 3.0;
     meshes_identical = meshes_identical && r.bit_identical;
   }
-  bool fig4_identical = !fig4.empty();
+  bool fig4_identical = !fig4.empty(), fig4_charges = !fig4.empty();
   for (const Fig4Row& r : fig4) {
     fig4_identical = fig4_identical && r.bit_identical;
+    fig4_charges = fig4_charges && r.charges_equal;
   }
   const bool hub_no_worse =
       hub.elapsed_4dev <= 1.05 * hub.elapsed_1dev && hub.bit_identical;
@@ -307,8 +327,12 @@ int main(int argc, char** argv) {
               fig4_identical ? "PASS" : "FAIL");
   std::printf("hub circuit: 4-device run no worse than 1 device — %s\n",
               hub_no_worse ? "PASS" : "FAIL");
+  std::printf("sharded preprocess/symbolic/levelize charges equal "
+              "single-device on the Figure 4 suite — %s\n",
+              fig4_charges ? "PASS" : "FAIL");
 
-  return meshes_scale && meshes_identical && fig4_identical && hub_no_worse
+  return meshes_scale && meshes_identical && fig4_identical &&
+                 hub_no_worse && fig4_charges
              ? 0
              : 1;
 }

@@ -8,7 +8,6 @@
 #include "preprocess/parallel/parallel_preprocess.hpp"
 #include "support/check.hpp"
 #include "support/timer.hpp"
-#include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace e2elu {
@@ -34,25 +33,93 @@ const char* mode_name(Mode mode) {
   return "?";
 }
 
+std::uint64_t launch_count(const gpusim::Device& dev) {
+  return dev.stats().host_launches + dev.stats().device_launches;
+}
+
+/// The single-device executor: the paper's format rule picks the dense
+/// window or the sparse binary search, and a device OOM in the dense
+/// window falls back to the sparse format.
+class DeviceExecutor final : public NumericExecutor {
+ public:
+  DeviceExecutor(gpusim::Device& dev, const Options& options)
+      : dev_(dev), options_(options) {}
+
+  void plan(const NumericStage& stage) override {
+    sparse_ = options_.numeric_format == NumericFormat::Auto
+                  ? numeric::should_use_sparse_format(options_.device,
+                                                      stage.filled.n)
+                  : options_.numeric_format ==
+                        NumericFormat::SparseBinarySearch;
+  }
+
+  numeric::NumericStats run(numeric::FactorMatrix& fm,
+                            const scheduling::LevelSchedule& s) override {
+    trace::Span span("numeric", dev_,
+                     {{"format", sparse_ ? "sparse" : "dense"},
+                      {"levels", s.num_levels()}});
+    const numeric::NumericStats stats =
+        sparse_ ? numeric::factorize_sparse_bsearch(dev_, fm, s,
+                                                    options_.numeric)
+                : numeric::factorize_dense_window(dev_, fm, s,
+                                                  options_.numeric);
+    span.attr("fused_levels", stats.fused_levels);
+    return stats;
+  }
+
+  Retry on_device_fault(const Fault& fault) override {
+    if (fault.kind != FaultKind::DeviceOutOfMemory) {
+      return {"recovery.launch_retry"};
+    }
+    if (sparse_) return {"recovery.numeric.retry"};
+    // The dense window is the memory-hungry format; the sparse
+    // binary-search path (§3.4) has no resident-window allocation, so
+    // falling back to it is the structural answer to numeric OOM.
+    sparse_ = true;
+    return {"recovery.numeric.format_fallback"};
+  }
+
+  double clock_us() override { return dev_.stats().sim_total_us(); }
+  std::uint64_t launches() const override { return launch_count(dev_); }
+  bool sparse() const override { return sparse_; }
+
+ private:
+  gpusim::Device& dev_;
+  const Options& options_;
+  bool sparse_ = false;
+};
+
 }  // namespace
 
 FactorResult SparseLU::factorize(const Csr& a_in) {
-  return factorize_impl(a_in, nullptr);
+  return factorize_on_own_device(a_in, nullptr);
 }
 
 FactorResult SparseLU::factorize(const Csr& a_in,
                                  FactorizationArtifacts& artifacts) {
-  return factorize_impl(a_in, &artifacts);
+  return factorize_on_own_device(a_in, &artifacts);
 }
 
-FactorResult SparseLU::factorize_impl(const Csr& a_in,
+FactorResult SparseLU::factorize(const Csr& a_in, gpusim::Device& device,
+                                 NumericExecutor& numeric) {
+  return factorize_impl(a_in, device, numeric, nullptr);
+}
+
+FactorResult SparseLU::factorize_on_own_device(
+    const Csr& a_in, FactorizationArtifacts* artifacts) {
+  gpusim::Device dev(options_.device);
+  if (options_.pool != nullptr) dev.use_pool(*options_.pool);
+  DeviceExecutor numeric(dev, options_);
+  return factorize_impl(a_in, dev, numeric, artifacts);
+}
+
+FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
+                                      NumericExecutor& numeric,
                                       FactorizationArtifacts* artifacts) {
   validate(a_in);
   E2ELU_CHECK_MSG(a_in.n > 0, "empty matrix");
   E2ELU_CHECK_MSG(!a_in.values.empty(), "matrix has no values");
 
-  gpusim::Device dev(options_.device);
-  if (options_.pool != nullptr) dev.use_pool(*options_.pool);
   FactorResult res;
   res.n = a_in.n;
   const index_t n = a_in.n;
@@ -60,6 +127,10 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
                         {{"n", n},
                          {"nnz", a_in.nnz()},
                          {"mode", mode_name(options_.mode)}});
+  // Attempts a phase may spend on faults; 0 turns recovery off.
+  const auto budget = [this](int attempts) {
+    return options_.recovery.enabled ? attempts : 0;
+  };
 
   // ---- Pre-processing (Figure 2, first box). Serial mode is the
   // paper's host-serial stage, modeled at a single host thread's
@@ -67,9 +138,6 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
   // through the device (preprocess/parallel/). The permutation
   // application and diagonal patch stay host-side in both modes and are
   // accounted as the preprocess remainder.
-  const auto launch_count = [&dev] {
-    return dev.stats().host_launches + dev.stats().device_launches;
-  };
   const bool par_pre =
       options_.preprocess.mode == PreprocessMode::GpuParallel;
   const double host_thread_rate = options_.host.ops_per_us_per_thread;
@@ -86,12 +154,12 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
       WallTimer t;
       const double sim0 = dev.stats().sim_total_us();
       const std::uint64_t ops0 = dev.stats().kernel_ops;
-      const std::uint64_t launches0 = launch_count();
+      const std::uint64_t launches0 = launch_count(dev);
       std::uint64_t serial_ops = 0;
       body(serial_ops);
       report.ops =
           serial_ops + (dev.stats().kernel_ops - ops0);
-      report.launches = launch_count() - launches0;
+      report.launches = launch_count(dev) - launches0;
       report.sim_us = (dev.stats().sim_total_us() - sim0) +
                       static_cast<double>(serial_ops) / host_thread_rate;
       report.wall_ms = t.millis();
@@ -155,64 +223,52 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
   // ---- Symbolic factorization (§3.2).
   WallTimer t_sym;
   double sim_before = dev.stats().sim_total_us();
-  std::uint64_t launches_before = launch_count();
+  std::uint64_t launches_before = launch_count(dev);
   symbolic::SymbolicResult sym;
   bool symbolic_on_device = options_.mode != Mode::CpuBaseline;
   {
     trace::Span span_sym("symbolic", dev, {{"mode", mode_name(options_.mode)}});
-    const int max_attempts =
-        options_.recovery.enabled ? options_.recovery.max_symbolic_attempts : 1;
-    for (int attempt = 0;; ++attempt) {
-      try {
-        if (attempt == 0) {
-          switch (options_.mode) {
-            case Mode::OutOfCoreGpu:
-              sym = symbolic::symbolic_out_of_core(dev, a, options_.symbolic);
-              break;
-            case Mode::OutOfCoreGpuDynamic:
-              sym = symbolic::symbolic_out_of_core_dynamic(dev, a,
-                                                           options_.symbolic);
-              break;
-            case Mode::UnifiedMemoryGpu:
-              sym = symbolic::symbolic_unified_memory(dev, a, /*prefetch=*/true,
-                                                      options_.symbolic);
-              break;
-            case Mode::UnifiedMemoryGpuNoPrefetch:
-              sym = symbolic::symbolic_unified_memory(
-                  dev, a, /*prefetch=*/false, options_.symbolic);
-              break;
-            case Mode::CpuBaseline:
-              sym = symbolic::symbolic_cpu(a);
-              break;
-          }
-        } else {
-          // Recovery: re-plan through the Algorithm 4 multipart planner
-          // with an escalating part count. Every doubling bounds more
-          // rows' queues, shrinking the per-row scratch the failed
-          // attempt could not fit; the result pattern is identical.
-          sym = symbolic::symbolic_out_of_core_multipart(
-              dev, a, static_cast<index_t>(1) << attempt, options_.symbolic);
-          symbolic_on_device = true;
-        }
-        break;
-      } catch (const gpusim::OutOfDeviceMemory& e) {
-        if (attempt + 1 >= max_attempts) {
-          throw FactorError(FaultKind::DeviceOutOfMemory, "symbolic",
-                            e.what());
-        }
-        ++res.symbolic_replans;
-        ++res.recovery_retries;
-        trace::MetricsRegistry::global()
-            .counter("recovery.symbolic.replan")
-            .add(1);
-      } catch (const gpusim::LaunchFailure& e) {
-        if (attempt + 1 >= max_attempts) {
-          throw FactorError(FaultKind::LaunchFailed, "symbolic", e.what());
-        }
-        ++res.recovery_retries;
-        trace::MetricsRegistry::global().counter("recovery.launch_retry").add(1);
+    const auto run_symbolic = [&](int attempt) {
+      if (attempt > 0) {
+        // Recovery: re-plan through the Algorithm 4 multipart planner
+        // with an escalating part count. Every doubling bounds more
+        // rows' queues, shrinking the per-row scratch the failed
+        // attempt could not fit; the result pattern is identical.
+        sym = symbolic::symbolic_out_of_core_multipart(
+            dev, a, static_cast<index_t>(1) << attempt, options_.symbolic);
+        symbolic_on_device = true;
+        return;
       }
-    }
+      switch (options_.mode) {
+        case Mode::OutOfCoreGpu:
+          sym = symbolic::symbolic_out_of_core(dev, a, options_.symbolic);
+          break;
+        case Mode::OutOfCoreGpuDynamic:
+          sym = symbolic::symbolic_out_of_core_dynamic(dev, a,
+                                                       options_.symbolic);
+          break;
+        case Mode::UnifiedMemoryGpu:
+          sym = symbolic::symbolic_unified_memory(dev, a, /*prefetch=*/true,
+                                                  options_.symbolic);
+          break;
+        case Mode::UnifiedMemoryGpuNoPrefetch:
+          sym = symbolic::symbolic_unified_memory(dev, a, /*prefetch=*/false,
+                                                  options_.symbolic);
+          break;
+        case Mode::CpuBaseline:
+          sym = symbolic::symbolic_cpu(a);
+          break;
+      }
+    };
+    res.recovery_retries += with_recovery(
+        "symbolic", budget(options_.recovery.max_symbolic_attempts),
+        run_symbolic, [&](const Fault& fault) -> Retry {
+          if (fault.kind != FaultKind::DeviceOutOfMemory) {
+            return {"recovery.launch_retry"};
+          }
+          ++res.symbolic_replans;
+          return {"recovery.symbolic.replan"};
+        });
     res.symbolic.sim_us = symbolic_on_device
                               ? dev.stats().sim_total_us() - sim_before
                               : options_.host.time_us(sym.ops);
@@ -221,97 +277,69 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
   }
   res.symbolic.wall_ms = t_sym.millis();
   res.symbolic.ops = sym.ops;
-  res.symbolic.launches = launch_count() - launches_before;
+  res.symbolic.launches = launch_count(dev) - launches_before;
   res.fill_nnz = sym.filled.nnz();
   res.symbolic_chunks = sym.num_chunks;
 
   // ---- Levelization (§3.3).
   WallTimer t_lvl;
   sim_before = dev.stats().sim_total_us();
-  launches_before = launch_count();
+  launches_before = launch_count(dev);
+  scheduling::DependencyGraph graph;
   scheduling::LevelSchedule schedule;
   {
     trace::Span span_lvl("levelize", dev);
+    const auto run_levelize = [&](int) {
+      graph = scheduling::build_dependency_graph(sym.filled,
+                                                 options_.dependency_rule);
+      if (options_.mode == Mode::CpuBaseline) {
+        schedule = scheduling::levelize_sequential(graph);
+        res.levelize.ops = static_cast<std::uint64_t>(graph.n) +
+                           static_cast<std::uint64_t>(graph.num_edges());
+        // Previous work runs levelization single-threaded on the host.
+        res.levelize.sim_us = static_cast<double>(res.levelize.ops) /
+                              options_.host.ops_per_us_per_thread;
+        return;
+      }
+      // cons_graph (Algorithm 5 line 14): the dependency graph is built
+      // on-device from the filled pattern.
+      dev.launch({.name = "cons_graph",
+                  .blocks = std::max<index_t>(1, (n + 255) / 256),
+                  .threads_per_block = 256},
+                 [&](std::int64_t b, gpusim::KernelContext& ctx) {
+                   const index_t lo = static_cast<index_t>(b) * 256;
+                   const index_t hi = std::min(n, lo + 256);
+                   ctx.add_ops(static_cast<std::uint64_t>(
+                       graph.adj_ptr[hi] - graph.adj_ptr[lo]));
+                 });
+      const std::uint64_t ops_before_lvl = dev.stats().kernel_ops;
+      schedule = scheduling::levelize_gpu_dynamic(dev, graph);
+      res.levelize.ops = dev.stats().kernel_ops - ops_before_lvl;
+      res.levelize.sim_us = dev.stats().sim_total_us() - sim_before;
+    };
     // Levelization allocates nothing persistent, so one straight retry
     // covers transient (injected) faults before giving up.
-    const int max_attempts = options_.recovery.enabled ? 2 : 1;
-    for (int attempt = 0;; ++attempt) {
-      try {
-        const scheduling::DependencyGraph graph =
-            scheduling::build_dependency_graph(sym.filled,
-                                               options_.dependency_rule);
-        if (options_.mode == Mode::CpuBaseline) {
-          schedule = scheduling::levelize_sequential(graph);
-          res.levelize.ops =
-              static_cast<std::uint64_t>(graph.n) +
-              static_cast<std::uint64_t>(graph.num_edges());
-          // Previous work runs levelization single-threaded on the host.
-          res.levelize.sim_us = static_cast<double>(res.levelize.ops) /
-                                options_.host.ops_per_us_per_thread;
-        } else {
-          // cons_graph (Algorithm 5 line 14): the dependency graph is built
-          // on-device from the filled pattern.
-          dev.launch({.name = "cons_graph",
-                      .blocks = std::max<index_t>(1, (n + 255) / 256),
-                      .threads_per_block = 256},
-                     [&](std::int64_t b, gpusim::KernelContext& ctx) {
-                       const index_t lo = static_cast<index_t>(b) * 256;
-                       const index_t hi = std::min(n, lo + 256);
-                       ctx.add_ops(static_cast<std::uint64_t>(
-                           graph.adj_ptr[hi] - graph.adj_ptr[lo]));
-                     });
-          const std::uint64_t ops_before_lvl = dev.stats().kernel_ops;
-          schedule = scheduling::levelize_gpu_dynamic(dev, graph);
-          res.levelize.ops = dev.stats().kernel_ops - ops_before_lvl;
-          res.levelize.sim_us = dev.stats().sim_total_us() - sim_before;
-        }
-        break;
-      } catch (const gpusim::OutOfDeviceMemory& e) {
-        if (attempt + 1 >= max_attempts) {
-          throw FactorError(FaultKind::DeviceOutOfMemory, "levelize",
-                            e.what());
-        }
-        ++res.recovery_retries;
-        trace::MetricsRegistry::global()
-            .counter("recovery.levelize.retry")
-            .add(1);
-      } catch (const gpusim::LaunchFailure& e) {
-        if (attempt + 1 >= max_attempts) {
-          throw FactorError(FaultKind::LaunchFailed, "levelize", e.what());
-        }
-        ++res.recovery_retries;
-        trace::MetricsRegistry::global().counter("recovery.launch_retry").add(1);
-      }
-    }
+    res.recovery_retries += with_recovery(
+        "levelize", budget(2), run_levelize, [](const Fault& fault) -> Retry {
+          return {fault.kind == FaultKind::DeviceOutOfMemory
+                      ? "recovery.levelize.retry"
+                      : "recovery.launch_retry"};
+        });
     span_lvl.attr("levels", schedule.num_levels());
   }
   res.levelize.wall_ms = t_lvl.millis();
-  res.levelize.launches = launch_count() - launches_before;
+  res.levelize.launches = launch_count(dev) - launches_before;
   res.num_levels = schedule.num_levels();
 
-  // ---- Numeric factorization (§3.4).
+  // ---- Numeric factorization (§3.4), on the executor.
   WallTimer t_num;
-  sim_before = dev.stats().sim_total_us();
-  launches_before = launch_count();
-  bool use_sparse;
-  switch (options_.numeric_format) {
-    case NumericFormat::DenseWindow:
-      use_sparse = false;
-      break;
-    case NumericFormat::SparseBinarySearch:
-      use_sparse = true;
-      break;
-    case NumericFormat::Auto:
-    default:
-      use_sparse = numeric::should_use_sparse_format(options_.device, n);
-      break;
-  }
-  const int max_numeric =
-      options_.recovery.enabled ? options_.recovery.max_numeric_attempts : 1;
+  const double num_clock_before = numeric.clock_us();
+  launches_before = numeric.launches();
+  numeric.plan({sym.filled, graph, schedule});
   numeric::FactorMatrix fm;
   std::vector<index_t> perturbed_cols;
   index_t last_zero_col = -1;
-  for (int attempt = 0;; ++attempt) {
+  const auto run_numeric = [&](int) {
     // A failed elimination leaves As partially updated, so every attempt
     // rebuilds the values from A; perturbed diagonals are re-applied on
     // top of the fresh scatter.
@@ -323,71 +351,31 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
     for (const index_t c : perturbed_cols) {
       fm.csc.values[static_cast<std::size_t>(fm.diag_pos[c])] += bump;
     }
-    try {
-      trace::Span span_num("numeric", dev,
-                           {{"format", use_sparse ? "sparse" : "dense"},
-                            {"levels", schedule.num_levels()}});
-      const numeric::NumericStats nstats =
-          use_sparse
-              ? numeric::factorize_sparse_bsearch(dev, fm, schedule,
-                                                  options_.numeric)
-              : numeric::factorize_dense_window(dev, fm, schedule,
-                                                options_.numeric);
-      res.numeric.ops = nstats.ops;
-      res.fused_levels = nstats.fused_levels;
-      span_num.attr("fused_levels", nstats.fused_levels);
-      break;
-    } catch (const numeric::ZeroPivotError& e) {
-      if (attempt + 1 >= max_numeric) {
-        throw FactorError(FaultKind::ZeroPivot, "numeric", e.what(),
-                          e.column());
-      }
-      ++res.recovery_retries;
-      if (e.column() == last_zero_col) {
+    const numeric::NumericStats nstats = numeric.run(fm, schedule);
+    res.numeric.ops = nstats.ops;
+    res.fused_levels = nstats.fused_levels;
+  };
+  res.recovery_retries += with_recovery(
+      "numeric", budget(options_.recovery.max_numeric_attempts), run_numeric,
+      [&](const Fault& fault) -> Retry {
+        if (fault.kind != FaultKind::ZeroPivot) {
+          return numeric.on_device_fault(fault);
+        }
+        if (fault.column != last_zero_col) {
+          last_zero_col = fault.column;
+          return {"recovery.numeric.retry"};
+        }
         // The same column failed twice, so this is no transient fault:
         // bump its starting diagonal (the §4.4 patch value) and re-run —
         // the refactor engine's instability fallback, extended to
         // first-time factorization.
-        perturbed_cols.push_back(e.column());
+        perturbed_cols.push_back(fault.column);
         ++res.pivot_perturbations;
-        trace::MetricsRegistry::global()
-            .counter("recovery.numeric.pivot_perturb")
-            .add(1);
-      } else {
-        last_zero_col = e.column();
-        trace::MetricsRegistry::global()
-            .counter("recovery.numeric.retry")
-            .add(1);
-      }
-    } catch (const gpusim::OutOfDeviceMemory& e) {
-      if (attempt + 1 >= max_numeric) {
-        throw FactorError(FaultKind::DeviceOutOfMemory, "numeric", e.what());
-      }
-      ++res.recovery_retries;
-      if (!use_sparse) {
-        // The dense window is the memory-hungry format; the sparse
-        // binary-search path (§3.4) has no resident-window allocation, so
-        // falling back to it is the structural answer to numeric OOM.
-        use_sparse = true;
-        trace::MetricsRegistry::global()
-            .counter("recovery.numeric.format_fallback")
-            .add(1);
-      } else {
-        trace::MetricsRegistry::global()
-            .counter("recovery.numeric.retry")
-            .add(1);
-      }
-    } catch (const gpusim::LaunchFailure& e) {
-      if (attempt + 1 >= max_numeric) {
-        throw FactorError(FaultKind::LaunchFailed, "numeric", e.what());
-      }
-      ++res.recovery_retries;
-      trace::MetricsRegistry::global().counter("recovery.launch_retry").add(1);
-    }
-  }
-  res.used_sparse_numeric = use_sparse;
-  res.numeric.sim_us = dev.stats().sim_total_us() - sim_before;
-  res.numeric.launches = launch_count() - launches_before;
+        return {"recovery.numeric.pivot_perturb"};
+      });
+  res.used_sparse_numeric = numeric.sparse();
+  res.numeric.sim_us = numeric.clock_us() - num_clock_before;
+  res.numeric.launches = numeric.launches() - launches_before;
   res.numeric.wall_ms = t_num.millis();
 
   {
@@ -398,7 +386,7 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in,
   if (artifacts != nullptr) {
     artifacts->filled = std::move(sym.filled);
     artifacts->schedule = std::move(schedule);
-    artifacts->use_sparse_numeric = use_sparse;
+    artifacts->use_sparse_numeric = res.used_sparse_numeric;
   }
   return res;
 }

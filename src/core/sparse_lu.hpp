@@ -6,7 +6,10 @@
 //
 // Every phase runs "on the GPU" (the simulated device) in the GPU modes;
 // Mode::CpuBaseline is the paper's comparison system, a multicore-CPU
-// symbolic + levelization feeding the GLU3.0-style numeric phase.
+// symbolic + levelization feeding the GLU3.0-style numeric phase. The
+// numeric stage is swappable (NumericExecutor): the default runs on one
+// device, sharding::ShardedFactorizer plugs in a device group. Every
+// stage recovers from faults through one helper (core/recovery.hpp).
 //
 // Typical use:
 //   SparseLU lu(options);
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "core/factor_error.hpp"
+#include "core/recovery.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/spec.hpp"
 #include "matrix/csr.hpp"
@@ -47,12 +51,13 @@ enum class NumericFormat {
 
 enum class Ordering { None, Rcm, MinDegree };
 
-/// Retry budgets for the per-phase recovery loops. Device faults (OOM,
-/// lost launches) and numeric breakdowns (zero pivots) are retried with
-/// escalating counter-measures — re-planned symbolic partitioning, a
-/// numeric format fallback, diagonal perturbation — before factorize()
-/// gives up with a FactorError. Disabling recovery makes the first raw
-/// failure propagate unchanged, which is what most unit tests want.
+/// Retry budgets for the per-phase recovery (with_recovery). Device
+/// faults (OOM, lost launches) and numeric breakdowns (zero pivots) are
+/// retried with escalating counter-measures — re-planned symbolic
+/// partitioning, a numeric format fallback, diagonal perturbation —
+/// before factorize() gives up with a FactorError. Disabling recovery
+/// turns the first fault into its FactorError, which is what most unit
+/// tests want.
 struct RecoveryOptions {
   bool enabled = true;
   /// Symbolic attempts. Attempt k >= 1 re-plans through the Algorithm 4
@@ -157,6 +162,35 @@ struct FactorizationArtifacts {
   bool use_sparse_numeric = false;     ///< resolved numeric-format decision
 };
 
+/// What the numeric stage hands its executor once levelization is done.
+/// The referenced objects live until the numeric stage ends.
+struct NumericStage {
+  const Csr& filled;                         ///< symbolic's L+U pattern
+  const scheduling::DependencyGraph& graph;  ///< levelization's input
+  const scheduling::LevelSchedule& schedule;
+};
+
+/// The numeric stage of the pipeline (§3.4). SparseLU owns the value
+/// scatter, the zero-pivot policy, the retry budget and the phase report;
+/// the executor owns where the elimination runs and how it answers a
+/// device fault.
+class NumericExecutor {
+ public:
+  virtual ~NumericExecutor() = default;
+  /// Called once per factorization, before the first attempt.
+  virtual void plan(const NumericStage& stage) = 0;
+  /// One elimination attempt over freshly scattered values.
+  virtual numeric::NumericStats run(numeric::FactorMatrix& fm,
+                                    const scheduling::LevelSchedule& s) = 0;
+  /// Counter-measure for the device fault the last run() threw.
+  virtual Retry on_device_fault(const Fault& fault) = 0;
+  /// Simulated clock and launch count the numeric phase is charged by.
+  virtual double clock_us() = 0;
+  virtual std::uint64_t launches() const = 0;
+  /// True when the elimination ran in the sparse binary-search format.
+  virtual bool sparse() const = 0;
+};
+
 class SparseLU {
  public:
   explicit SparseLU(Options options = {});
@@ -168,6 +202,11 @@ class SparseLU {
   /// intermediates for pattern-reuse re-factorization.
   FactorResult factorize(const Csr& a, FactorizationArtifacts& artifacts);
 
+  /// Runs the full pipeline on `device` with `numeric` as the numeric
+  /// stage. Options::pool is not applied: the device keeps its own.
+  FactorResult factorize(const Csr& a, gpusim::Device& device,
+                         NumericExecutor& numeric);
+
   /// Solves A x = b using a factorization from this class (applies the
   /// stored permutations around the triangular solves).
   static std::vector<value_t> solve(const FactorResult& f,
@@ -178,7 +217,11 @@ class SparseLU {
                          std::span<const value_t> b);
 
  private:
-  FactorResult factorize_impl(const Csr& a, FactorizationArtifacts* artifacts);
+  FactorResult factorize_on_own_device(const Csr& a,
+                                       FactorizationArtifacts* artifacts);
+  FactorResult factorize_impl(const Csr& a, gpusim::Device& dev,
+                              NumericExecutor& numeric,
+                              FactorizationArtifacts* artifacts);
 
   Options options_;
 };

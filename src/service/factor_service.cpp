@@ -286,27 +286,14 @@ JobResult FactorService::run_job(Job& job, std::size_t worker_id,
   r.tenant = job.tenant;
   r.priority = job.priority;
 
-  if (opt_.sharding.enabled && job.a.n >= opt_.sharding.min_n) {
-    // Big-job route: the pattern cache cannot help a first-time pattern of
-    // this size, and one device serves it slowest — factor it across the
-    // group. Bypasses the cache entirely (group-resident shards are not a
-    // cacheable single-device plan).
-    r = run_sharded(job, worker_id, report);
-    if (job.rhs.has_value()) {
-      TRACE_SPAN("service.solve", {{"n", job.a.n}});
-      PhaseTimer timer(report.solve_us);
-      r.x = SparseLU::solve(r.factors, *job.rhs);
-    }
-    report.launches = r.launches;
-    report.sim_us = r.sim_us;
-    report.symbolic_replans = r.factors.symbolic_replans;
-    report.pivot_perturbations = r.factors.pivot_perturbations;
-    report.recovery_retries = r.factors.recovery_retries;
-    return r;
-  }
-
+  // Big-job route: the pattern cache cannot help a first-time pattern of
+  // this size, and one device serves it slowest — factor it across the
+  // group. Bypasses the cache entirely (group-resident shards are not a
+  // cacheable single-device plan).
+  const bool sharded =
+      opt_.sharding.enabled && job.a.n >= opt_.sharding.min_n;
   PatternCache::EntryPtr entry;
-  if (opt_.cache_enabled) {
+  if (!sharded && opt_.cache_enabled) {
     TRACE_SPAN("service.cache_lookup");
     PhaseTimer timer(report.cache_lookup_us);
     entry = cache_.lookup(job.a);
@@ -317,7 +304,9 @@ JobResult FactorService::run_job(Job& job, std::size_t worker_id,
     ++(entry ? stats_.cache_hits : stats_.cache_misses);
   }
 
-  if (entry) {
+  if (sharded) {
+    r = run_sharded(job, worker_id, report);
+  } else if (entry) {
     // Warm path: numeric-only replay through the cached plan. The entry
     // mutex keeps each plan single-flight — refactorize() mutates the
     // cached skeleton in place.

@@ -9,6 +9,12 @@ namespace e2elu::sharding {
 
 namespace {
 
+/// When the heaviest weakly-connected component carries more than this
+/// fraction of the total column footprint, the planner switches that
+/// component to irregular contiguous blocking (hub fallback) instead of
+/// packing it whole onto one device.
+constexpr double kHubComponentFraction = 0.5;
+
 /// Union-find over columns; path-halving, union by size.
 class UnionFind {
  public:
@@ -59,15 +65,15 @@ std::vector<std::uint64_t> column_footprint_bytes(const Csr& filled) {
 }
 
 ShardPlan build_shard_plan(const scheduling::DependencyGraph& g,
-                           const Csr& filled, const ShardPlanOptions& opt) {
-  E2ELU_CHECK_MSG(opt.num_devices >= 1, "shard plan needs >= 1 device");
+                           const Csr& filled, int num_devices) {
+  E2ELU_CHECK_MSG(num_devices >= 1, "shard plan needs >= 1 device");
   E2ELU_CHECK_MSG(g.n == filled.n, "dependency graph does not match pattern");
   const index_t n = g.n;
   ShardPlan plan;
-  plan.num_devices = opt.num_devices;
+  plan.num_devices = num_devices;
   plan.owner.assign(static_cast<std::size_t>(n), 0);
-  plan.device_cols.resize(static_cast<std::size_t>(opt.num_devices));
-  plan.device_bytes.assign(static_cast<std::size_t>(opt.num_devices), 0);
+  plan.device_cols.resize(static_cast<std::size_t>(num_devices));
+  plan.device_bytes.assign(static_cast<std::size_t>(num_devices), 0);
   plan.total_edges = g.num_edges();
 
   const std::vector<std::uint64_t> col_bytes = column_footprint_bytes(filled);
@@ -100,12 +106,12 @@ ShardPlan build_shard_plan(const scheduling::DependencyGraph& g,
   // Hub fallback: a dominant component is carved into contiguous-index
   // blocks of balanced footprint instead of traveling whole.
   index_t hub = -1;
-  if (num_components > 0 && opt.num_devices > 1) {
+  if (num_components > 0 && num_devices > 1) {
     const index_t heaviest = static_cast<index_t>(
         std::max_element(comp_bytes.begin(), comp_bytes.end()) -
         comp_bytes.begin());
     if (static_cast<double>(comp_bytes[heaviest]) >
-        opt.hub_component_fraction * static_cast<double>(total_bytes)) {
+        kHubComponentFraction * static_cast<double>(total_bytes)) {
       hub = heaviest;
       plan.irregular_fallback = true;
     }
@@ -124,12 +130,12 @@ ShardPlan build_shard_plan(const scheduling::DependencyGraph& g,
     // block whenever the running footprint passes an equal share. Each
     // device gets one contiguous run, so only the block seams cut edges.
     const std::uint64_t share = std::max<std::uint64_t>(
-        1, comp_bytes[hub] / static_cast<std::uint64_t>(opt.num_devices));
+        1, comp_bytes[hub] / static_cast<std::uint64_t>(num_devices));
     std::uint64_t run = 0;
     int dev = 0;
     for (index_t j = 0; j < n; ++j) {
       if (comp_of[j] != hub) continue;
-      if (run >= share && dev + 1 < opt.num_devices) {
+      if (run >= share && dev + 1 < num_devices) {
         ++dev;
         run = 0;
       }

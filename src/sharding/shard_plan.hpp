@@ -29,15 +29,6 @@
 
 namespace e2elu::sharding {
 
-struct ShardPlanOptions {
-  int num_devices = 4;
-  /// When the heaviest weakly-connected component carries more than this
-  /// fraction of the total column footprint, the planner switches that
-  /// component to irregular contiguous blocking (hub fallback) instead of
-  /// packing it whole onto one device.
-  double hub_component_fraction = 0.5;
-};
-
 struct ShardPlan {
   int num_devices = 0;
   std::vector<int> owner;  ///< per column: owning device index
@@ -53,22 +44,16 @@ struct ShardPlan {
 
   /// Load balance: heaviest device over mean (1.0 = perfect).
   double balance() const;
-  /// Fraction of dependency edges that cross shards.
-  double cut_fraction() const {
-    return total_edges == 0
-               ? 0.0
-               : static_cast<double>(cross_edges) /
-                     static_cast<double>(total_edges);
-  }
 };
 
 /// Per-column factor footprint: CSC column nnz * (value + row index).
 /// Computed from the filled CSR pattern.
 std::vector<std::uint64_t> column_footprint_bytes(const Csr& filled);
 
-/// Builds the partition for `filled`'s dependency graph `g`.
+/// Builds the partition of `filled`'s dependency graph `g` over
+/// `num_devices` devices.
 ShardPlan build_shard_plan(const scheduling::DependencyGraph& g,
-                           const Csr& filled, const ShardPlanOptions& opt);
+                           const Csr& filled, int num_devices);
 
 /// Trivial plan: every column on device `device` of an `num_devices`-member
 /// group (the degraded / single-survivor path).

@@ -1,41 +1,31 @@
 // ShardedFactorizer: one factorization spread across the members of a
 // gpusim::DeviceGroup.
 //
-// Pipeline shape (per factorize):
-//   pre-processing (host)  — identical to SparseLU
-//   symbolic + levelization — on member 0, identical code/spec, so the
-//                             filled pattern and schedule are the ones a
-//                             single device would produce
-//   shard planning          — elimination-forest components packed per
-//                             device (sharding/shard_plan.hpp), with the
-//                             irregular-blocking hub fallback and a
-//                             model-based degrade decision
-//   sharded numeric         — each level executes as one kernel per
-//                             (level, device) over that device's columns
-//                             on its own stream; cross-shard update
-//                             contributions ship as explicit peer
-//                             transfers at the producing level's boundary,
-//                             ordered by events (PR5 machinery)
-//   extract + solves        — host extract; sharded level-parallel
-//                             triangular solves over the same partition
+// It runs SparseLU's pipeline on member 0 with a group executor as the
+// numeric stage, so pre-processing, symbolic and levelization follow
+// every Options field exactly as a lone device would. The group executor
+// then plans the shards — elimination-forest components packed per
+// device (sharding/shard_plan.hpp), with the irregular-blocking hub
+// fallback and a model-based degrade decision — and executes each level
+// as one kernel per (level, device) on that device's own stream;
+// cross-shard update contributions ship as explicit peer transfers at
+// the producing level's boundary, ordered by events.
 //
 // Bit-exactness invariant (test- and bench-gated): sharded factors are
-// memcmp-identical to single-device factors. The numeric phase applies
+// memcmp-identical to single-device factors. The group executor applies
 // the exact same column kernels (numeric::detail::process_column_sparse)
 // in the exact global level-order a single device with a serial pool
-// uses; devices model *time*, not arithmetic — the same separation the
-// PR5 streams and the PR8 factor window rely on. Sharding therefore can
-// never change an answer, only the simulated clock.
+// uses; devices model *time*, not arithmetic. Sharding therefore can
+// never change an answer, only the simulated clock. Solve with
+// SparseLU::solve.
 //
-// Fault recovery: a member that fails (injected OOM on its shard upload,
-// launch failure on its kernels) is dropped and the shards re-pack onto
-// the survivors; with one survivor the run degrades to single-device.
-// Exhausting every member throws a structured FactorError — never a hang.
+// Fault recovery goes through SparseLU's shared helper: a member that
+// fails (injected OOM on its shard upload, launch failure on its kernels)
+// is dropped and the shards re-pack onto the survivors; with one survivor
+// the run degrades to single-device. Exhausting every member throws a
+// structured FactorError — never a hang.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "core/sparse_lu.hpp"
@@ -47,15 +37,13 @@ namespace e2elu::sharding {
 struct ShardingOptions {
   /// Group size (simulated devices).
   int num_devices = 4;
-  ShardPlanOptions plan;
   gpusim::PeerSpec peer;
-  /// Degrade to one device unless the model predicts
-  /// sharded_us < degrade_margin * single_us. Hub-coupled matrices whose
-  /// cut traffic would eat the parallel win take this path — "no worse
-  /// than one device" by construction, since a one-member run charges
-  /// exactly the single-device cost model.
+  /// Degrade to one device unless the model predicts sharding beats it by
+  /// at least 10% (kDegradeMargin). Hub-coupled matrices whose cut
+  /// traffic would eat the parallel win take this path — "no worse than
+  /// one device" by construction, since a one-member run charges exactly
+  /// the single-device cost model.
   bool allow_degrade = true;
-  double degrade_margin = 0.9;
 };
 
 /// Per-factorize sharding report.
@@ -74,15 +62,7 @@ struct ShardReport {
   /// Summed with `peer`, these tile the group's numeric-phase delta
   /// exactly (test-enforced).
   std::vector<gpusim::DeviceStats> device_deltas;
-  gpusim::PeerStats peer;          ///< numeric+solve peer-transfer totals
-  double numeric_elapsed_us = 0;   ///< group clock spent in numeric
-};
-
-/// Accounting for one sharded triangular solve pair (L then U).
-struct ShardSolveStats {
-  std::uint64_t launches = 0;
-  gpusim::PeerStats peer;
-  double elapsed_us = 0;
+  gpusim::PeerStats peer;  ///< numeric-phase peer-transfer totals
 };
 
 class ShardedFactorizer {
@@ -90,43 +70,17 @@ class ShardedFactorizer {
   ShardedFactorizer(Options base, ShardingOptions sharding = {});
 
   /// Full pipeline; factors are bit-identical to SparseLU::factorize with
-  /// the same base options on one device.
+  /// the same base options on one device. device_stats totals the group.
   FactorResult factorize(const Csr& a);
   FactorResult factorize(const Csr& a, ShardReport& report);
 
-  /// Sharded level-parallel triangular solves of A x = b against the last
-  /// factorize()'s partition. Values are computed by the same
-  /// substitution code as SparseLU::solve (identical results); the level
-  /// kernels are charged per owning device with per-level peer shipping
-  /// of boundary x entries.
-  std::vector<value_t> solve(const FactorResult& f, std::span<const value_t> b,
-                             ShardSolveStats* stats = nullptr);
-
   gpusim::DeviceGroup& group() { return group_; }
   const gpusim::DeviceGroup& group() const { return group_; }
-  const ShardReport& last_report() const { return report_; }
 
  private:
-  FactorResult factorize_impl(const Csr& a, ShardReport& report);
-
-  /// Executes the numeric phase across `active` members. Throws the raw
-  /// device fault with *failed_device set when a member faults.
-  numeric::NumericStats run_numeric(numeric::FactorMatrix& m,
-                                    const scheduling::LevelSchedule& s,
-                                    const numeric::LevelPlan& lp,
-                                    const ShardPlan& plan,
-                                    const std::vector<int>& active,
-                                    int* failed_device, ShardReport& report);
-
   Options base_;
   ShardingOptions sharding_;
   gpusim::DeviceGroup group_;
-  ShardReport report_;
-  /// Partition + schedule of the last factorize (solve() charges against
-  /// them).
-  ShardPlan last_plan_;
-  scheduling::LevelSchedule last_schedule_;
-  std::vector<int> last_active_;
 };
 
 }  // namespace e2elu::sharding

@@ -3,10 +3,12 @@
 // sum of per-device DeviceStats deltas plus peer-pair deltas tiles the
 // group totals exactly), the shard planner (component packing, hub
 // fallback, degrade estimate), and the cross-device equivalence property:
-// for any matrix and any group size, ShardedFactorizer's factors and
-// solves are bit-identical to a single device running SparseLU with the
-// same options — sharding models time, never arithmetic. Failing
-// equivalence cases shrink to the smallest (seed, n, devices) triple.
+// for any matrix, any group size and any pre-numeric option tuple,
+// ShardedFactorizer's factors and solves are bit-identical to a single
+// device running SparseLU with the same options, and every phase before
+// numeric charges exactly what SparseLU charges — sharding models numeric
+// time, never arithmetic. Failing equivalence cases shrink to the
+// smallest (seed, n, devices, option tuple).
 //
 // Also here: the per-device-state audit regressions — fusion ready-flag
 // arenas, scrolling-window arenas, and Refactorizer device buffers must
@@ -18,8 +20,10 @@
 #include <atomic>
 #include <cstring>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/sparse_lu.hpp"
@@ -46,7 +50,6 @@ using gpusim::PeerStats;
 using sharding::ShardedFactorizer;
 using sharding::ShardingOptions;
 using sharding::ShardPlan;
-using sharding::ShardPlanOptions;
 using sharding::ShardReport;
 
 DeviceSpec test_spec() { return DeviceSpec::v100_with_memory(64u << 20); }
@@ -58,22 +61,43 @@ ShardingOptions group_of(int devices, bool allow_degrade = true) {
   return sopt;
 }
 
-ShardPlanOptions plan_over(int devices) {
-  ShardPlanOptions popt;
-  popt.num_devices = devices;
-  return popt;
+/// The options that shape everything before the numeric stage. The
+/// default tuple is identity permutations and the Algorithm 4 symbolic
+/// driver.
+struct OptionTuple {
+  PreprocessMode preprocess = PreprocessMode::Serial;
+  bool equilibrate = false;
+  Ordering ordering = Ordering::None;
+  Mode mode = Mode::OutOfCoreGpuDynamic;
+};
+
+std::string describe(const OptionTuple& t) {
+  static const char* const kOrdering[] = {"None", "Rcm", "MinDegree"};
+  static const char* const kMode[] = {"OutOfCoreGpu", "OutOfCoreGpuDynamic",
+                                      "UnifiedMemoryGpu",
+                                      "UnifiedMemoryGpuNoPrefetch",
+                                      "CpuBaseline"};
+  std::ostringstream os;
+  os << "{preprocess="
+     << (t.preprocess == PreprocessMode::Serial ? "Serial" : "GpuParallel")
+     << ", equilibrate=" << (t.equilibrate ? "on" : "off")
+     << ", ordering=" << kOrdering[static_cast<int>(t.ordering)]
+     << ", mode=" << kMode[static_cast<int>(t.mode)] << "}";
+  return os.str();
 }
 
-/// Base options shared by both sides of every equivalence comparison:
-/// identity permutations and a fixed symbolic driver, so the only degree
-/// of freedom between the single-device and sharded runs is the device
-/// count. `pool` must be single-threaded for bit-reproducible kernels.
-Options equiv_options(ThreadPool& pool) {
+/// Base options shared by both sides of every equivalence comparison, so
+/// the only degree of freedom between the single-device and sharded runs
+/// is the device count. `pool` must be single-threaded for
+/// bit-reproducible kernels.
+Options equiv_options(ThreadPool& pool, const OptionTuple& t = {}) {
   Options opt;
   opt.device = test_spec();
-  opt.mode = Mode::OutOfCoreGpuDynamic;
+  opt.mode = t.mode;
   opt.numeric_format = NumericFormat::SparseBinarySearch;
-  opt.ordering = Ordering::None;
+  opt.ordering = t.ordering;
+  opt.preprocess.mode = t.preprocess;
+  opt.preprocess.equilibrate = t.equilibrate;
   opt.match_diagonal = false;
   opt.pool = &pool;
   return opt;
@@ -106,6 +130,36 @@ std::optional<std::string> factors_mismatch(const FactorResult& got,
   }
   if (!values_identical(got.l.values, want.l.values)) return "L values differ";
   if (!values_identical(got.u.values, want.u.values)) return "U values differ";
+  if (!values_identical(got.scaling.row_scale, want.scaling.row_scale) ||
+      !values_identical(got.scaling.col_scale, want.scaling.col_scale)) {
+    return "scaling differs";
+  }
+  return std::nullopt;
+}
+
+/// Every phase before numeric must charge what SparseLU charges, field by
+/// field (wall time aside): the sharded path runs the same stages.
+std::optional<std::string> phases_mismatch(const FactorResult& got,
+                                           const FactorResult& want) {
+  const std::pair<const char*, PhaseReport FactorResult::*> phases[] = {
+      {"preprocess", &FactorResult::preprocess},
+      {"preprocess_match", &FactorResult::preprocess_match},
+      {"preprocess_order", &FactorResult::preprocess_order},
+      {"preprocess_scale", &FactorResult::preprocess_scale},
+      {"symbolic", &FactorResult::symbolic},
+      {"levelize", &FactorResult::levelize}};
+  for (const auto& [name, phase] : phases) {
+    const PhaseReport& g = got.*phase;
+    const PhaseReport& w = want.*phase;
+    if (g.sim_us != w.sim_us || g.ops != w.ops || g.launches != w.launches) {
+      std::ostringstream os;
+      os.precision(17);
+      os << name << " charge differs (sharded vs SparseLU): sim_us "
+         << g.sim_us << " vs " << w.sim_us << ", ops " << g.ops << " vs "
+         << w.ops << ", launches " << g.launches << " vs " << w.launches;
+      return os.str();
+    }
+  }
   return std::nullopt;
 }
 
@@ -374,8 +428,7 @@ TEST(Sharding, PlanPacksIndependentComponentsWithoutCuts) {
   const Csr a = many_dense_blocks(8, 4, 5);
   const auto graph =
       scheduling::build_dependency_graph(a, Options{}.dependency_rule);
-  const ShardPlan plan =
-      build_shard_plan(graph, a, plan_over(4));
+  const ShardPlan plan = sharding::build_shard_plan(graph, a, 4);
 
   EXPECT_EQ(plan.num_components, 8);
   EXPECT_EQ(plan.cross_edges, 0);
@@ -402,8 +455,7 @@ TEST(Sharding, PlanHubFallbackCarvesContiguousRuns) {
   const Csr a = many_dense_blocks(1, 64, 6);
   const auto graph =
       scheduling::build_dependency_graph(a, Options{}.dependency_rule);
-  const ShardPlan plan =
-      build_shard_plan(graph, a, plan_over(4));
+  const ShardPlan plan = sharding::build_shard_plan(graph, a, 4);
 
   EXPECT_EQ(plan.num_components, 1);
   EXPECT_TRUE(plan.irregular_fallback);
@@ -437,8 +489,8 @@ TEST(Sharding, EstimateSeparatesMeshesFromSerialChains) {
   const auto mesh_graph =
       scheduling::build_dependency_graph(mesh, Options{}.dependency_rule);
   const auto mesh_sched = scheduling::levelize_sequential(mesh_graph);
-  const ShardPlan mesh_plan = build_shard_plan(
-      mesh_graph, mesh, plan_over(4));
+  const ShardPlan mesh_plan =
+      sharding::build_shard_plan(mesh_graph, mesh, 4);
   const sharding::ShardEstimate mesh_est = sharding::estimate_sharded_numeric(
       mesh_plan, mesh_graph, mesh, mesh_sched, fast, 40.0, 2.0);
   EXPECT_GT(mesh_est.predicted_speedup(), 1.5);
@@ -449,8 +501,8 @@ TEST(Sharding, EstimateSeparatesMeshesFromSerialChains) {
   const auto chain_graph =
       scheduling::build_dependency_graph(chain, Options{}.dependency_rule);
   const auto chain_sched = scheduling::levelize_sequential(chain_graph);
-  const ShardPlan chain_plan = build_shard_plan(
-      chain_graph, chain, plan_over(4));
+  const ShardPlan chain_plan =
+      sharding::build_shard_plan(chain_graph, chain, 4);
   const sharding::ShardEstimate chain_est = sharding::estimate_sharded_numeric(
       chain_plan, chain_graph, chain, chain_sched, fast, 40.0, 2.0);
   EXPECT_LT(chain_est.predicted_speedup(), 1.1);
@@ -474,14 +526,15 @@ TEST(Sharding, DegradedRunMatchesSingleDeviceCost) {
   ShardReport rep1;
   ShardedFactorizer one(equiv_options(serial), group_of(1));
   const FactorResult res1 = one.factorize(a, rep1);
-  EXPECT_NEAR(rep4.numeric_elapsed_us, rep1.numeric_elapsed_us,
-              1e-9 * (1.0 + rep1.numeric_elapsed_us));
+  EXPECT_NEAR(res4.numeric.sim_us, res1.numeric.sim_us,
+              1e-9 * (1.0 + res1.numeric.sim_us));
   EXPECT_EQ(factors_mismatch(res4, res1), std::nullopt);
 }
 
 // ---------------------------------------------------------------------------
-// Cross-device equivalence property: for any (seed, n, devices), sharded
-// factors and solves are bit-identical to one device's.
+// Cross-device equivalence property: for any (seed, n, devices, option
+// tuple), sharded factors, solves and pre-numeric charges are identical to
+// one device's.
 
 struct ShardCase {
   std::string kind;
@@ -510,72 +563,116 @@ ShardCase make_shard_case(std::uint64_t seed, index_t n) {
   return c;
 }
 
+struct EquivCase {
+  std::uint64_t seed = 0;
+  index_t n = 0;
+  int devices = 1;
+  OptionTuple options;
+};
+
 /// One equivalence check. allow_degrade is off so the run actually
 /// executes on `devices` members (the property must hold on the real
 /// multi-device path, peer transfers included, not via the degrade
 /// escape hatch).
-std::optional<std::string> equivalence_failure(std::uint64_t seed, index_t n,
-                                               int devices) {
-  const ShardCase c = make_shard_case(seed, n);
+std::optional<std::string> equivalence_failure(const EquivCase& ec) {
+  const ShardCase c = make_shard_case(ec.seed, ec.n);
   ThreadPool ref_pool(1);
   FactorResult want;
   try {
-    want = SparseLU(equiv_options(ref_pool)).factorize(c.a);
+    want = SparseLU(equiv_options(ref_pool, ec.options)).factorize(c.a);
   } catch (const std::exception& e) {
     return "single-device factorize threw: " + std::string(e.what());
   }
 
   ThreadPool shard_pool(1);
-  ShardedFactorizer sharded(equiv_options(shard_pool),
-                            group_of(devices, false));
-  ShardReport rep;
+  ShardedFactorizer sharded(equiv_options(shard_pool, ec.options),
+                            group_of(ec.devices, false));
   FactorResult got;
   try {
-    got = sharded.factorize(c.a, rep);
+    got = sharded.factorize(c.a);
   } catch (const std::exception& e) {
     return "sharded factorize threw: " + std::string(e.what());
   }
   if (auto m = factors_mismatch(got, want)) return c.kind + ": " + *m;
+  if (auto m = phases_mismatch(got, want)) return c.kind + ": " + *m;
 
-  const std::vector<value_t> b = rhs_for(c.a.n, seed ^ 0xb0b);
-  const std::vector<value_t> want_x = SparseLU::solve(want, b);
-  sharding::ShardSolveStats sstats;
-  const std::vector<value_t> got_x = sharded.solve(got, b, &sstats);
-  if (!values_identical(got_x, want_x)) return c.kind + ": solve differs";
-  if (devices > 1 && sstats.launches == 0) {
-    return c.kind + ": sharded solve charged no kernels";
+  const std::vector<value_t> b = rhs_for(c.a.n, ec.seed ^ 0xb0b);
+  if (!values_identical(SparseLU::solve(got, b), SparseLU::solve(want, b))) {
+    return c.kind + ": solve differs";
   }
   return std::nullopt;
 }
 
-TEST(Sharding, FactorsAndSolvesMatchSingleDeviceBitForBit) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const index_t n0 = 256 + static_cast<index_t>((seed * 131) % 400);
-    for (const int devices0 : {1, 2, 4, 8}) {
-      std::optional<std::string> failure =
-          equivalence_failure(seed, n0, devices0);
-      if (!failure.has_value()) continue;
+/// Shrinks a failing case — halve n while the failure reproduces, then
+/// halve the group, then reset each option to its default — and reports
+/// the smallest one.
+void report_smallest_failure(EquivCase ec, std::string detail) {
+  const auto still_fails = [&](const EquivCase& smaller) {
+    const auto failure = equivalence_failure(smaller);
+    if (!failure.has_value()) return false;
+    ec = smaller;
+    detail = *failure;
+    return true;
+  };
+  while (ec.n / 2 >= 32) {
+    EquivCase s = ec;
+    s.n /= 2;
+    if (!still_fails(s)) break;
+  }
+  while (ec.devices / 2 >= 1) {
+    EquivCase s = ec;
+    s.devices /= 2;
+    if (!still_fails(s)) break;
+  }
+  const OptionTuple def;
+  const auto try_default = [&](auto field) {
+    EquivCase s = ec;
+    s.options.*field = def.*field;
+    if (s.options.*field != ec.options.*field) still_fails(s);
+  };
+  try_default(&OptionTuple::preprocess);
+  try_default(&OptionTuple::equilibrate);
+  try_default(&OptionTuple::ordering);
+  try_default(&OptionTuple::mode);
+  ADD_FAILURE() << "smallest failing case: seed=" << ec.seed
+                << " n=" << ec.n << " devices=" << ec.devices
+                << " options=" << describe(ec.options) << " — " << detail;
+}
 
-      // Shrink: halve n while the failure reproduces, then halve the
-      // group, so the report names the smallest failing triple.
-      index_t n = n0;
-      int devices = devices0;
-      std::string detail = *failure;
-      while (n / 2 >= 32) {
-        const auto smaller = equivalence_failure(seed, n / 2, devices);
-        if (!smaller.has_value()) break;
-        n /= 2;
-        detail = *smaller;
+TEST(Sharding, FactorsAndSolvesMatchSingleDeviceBitForBit) {
+  // The default option tuple across seeds and group sizes.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const index_t n = 256 + static_cast<index_t>((seed * 131) % 400);
+    for (const int devices : {1, 2, 4, 8}) {
+      const EquivCase ec{seed, n, devices, {}};
+      if (auto failure = equivalence_failure(ec)) {
+        report_smallest_failure(ec, *failure);
+        return;
       }
-      while (devices / 2 >= 1) {
-        const auto fewer = equivalence_failure(seed, n, devices / 2);
-        if (!fewer.has_value()) break;
-        devices /= 2;
-        detail = *fewer;
+    }
+  }
+  // Every pre-numeric option tuple on one fixture per planner path: a
+  // blocked-planar mesh (seed 2) and a hub circuit (seed 1).
+  for (const auto& [seed, n] : {std::pair<std::uint64_t, index_t>{2, 600},
+                                std::pair<std::uint64_t, index_t>{1, 500}}) {
+    for (const PreprocessMode pre :
+         {PreprocessMode::Serial, PreprocessMode::GpuParallel}) {
+      for (const bool equilibrate : {false, true}) {
+        for (const Ordering ordering :
+             {Ordering::None, Ordering::Rcm, Ordering::MinDegree}) {
+          for (const Mode mode : {Mode::OutOfCoreGpu, Mode::OutOfCoreGpuDynamic,
+                                  Mode::CpuBaseline}) {
+            for (const int devices : {1, 4}) {
+              const EquivCase ec{seed, n, devices,
+                                 {pre, equilibrate, ordering, mode}};
+              if (auto failure = equivalence_failure(ec)) {
+                report_smallest_failure(ec, *failure);
+                return;
+              }
+            }
+          }
+        }
       }
-      ADD_FAILURE() << "smallest failing case: seed=" << seed << " n=" << n
-                    << " devices=" << devices << " — " << detail;
-      return;
     }
   }
 }
@@ -600,26 +697,20 @@ TEST(Sharding, HubMatricesShipPeerTrafficAndStayExact) {
   EXPECT_EQ(factors_mismatch(got, want), std::nullopt);
 
   const std::vector<value_t> b = rhs_for(a.n, 0xdead);
-  sharding::ShardSolveStats sstats;
-  const std::vector<value_t> x = sharded.solve(got, b, &sstats);
-  EXPECT_TRUE(values_identical(x, SparseLU::solve(want, b)));
-  // Boundary x entries cross the link during the solves too.
-  EXPECT_GT(sstats.peer.bytes, 0u);
-  EXPECT_GT(sstats.elapsed_us, 0.0);
+  EXPECT_TRUE(
+      values_identical(SparseLU::solve(got, b), SparseLU::solve(want, b)));
 }
 
 // ---------------------------------------------------------------------------
 // Service routing: big jobs go to the device group.
 
-TEST(Sharding, ServiceRoutesBigJobsToTheGroup) {
+/// Submits one big and one small job under `pipeline` and checks the
+/// routing; returns the big (sharded) job's result.
+service::JobResult expect_big_job_routed(const Options& pipeline) {
   service::FactorServiceOptions sopt;
   sopt.workers = 1;
   sopt.deterministic = true;
-  sopt.pipeline.device = test_spec();
-  sopt.pipeline.mode = Mode::OutOfCoreGpuDynamic;
-  sopt.pipeline.numeric_format = NumericFormat::SparseBinarySearch;
-  sopt.pipeline.ordering = Ordering::None;
-  sopt.pipeline.match_diagonal = false;
+  sopt.pipeline = pipeline;
   sopt.sharding.enabled = true;
   sopt.sharding.devices = 2;
   sopt.sharding.min_n = 500;
@@ -644,14 +735,43 @@ TEST(Sharding, ServiceRoutesBigJobsToTheGroup) {
   EXPECT_EQ(svc.stats().sharded_jobs, 1u);
 
   // Routing is a latency decision, never a numerics one: the sharded
-  // job's factors and solve match a plain single-device run bit for bit.
+  // job's factors, scales and solve match a plain single-device run bit
+  // for bit.
   ThreadPool serial(1);
-  Options ref = equiv_options(serial);
-  ref.device = sopt.pipeline.device;
+  Options ref = pipeline;
+  ref.numeric_format = NumericFormat::SparseBinarySearch;
+  ref.pool = &serial;
   const FactorResult want = SparseLU(ref).factorize(big);
   EXPECT_EQ(factors_mismatch(rbig.factors, want), std::nullopt);
-  ASSERT_TRUE(rbig.x.has_value());
-  EXPECT_TRUE(values_identical(*rbig.x, SparseLU::solve(want, b)));
+  EXPECT_TRUE(rbig.x.has_value());
+  if (rbig.x.has_value()) {
+    EXPECT_TRUE(values_identical(*rbig.x, SparseLU::solve(want, b)));
+  }
+  return rbig;
+}
+
+TEST(Sharding, ServiceRoutesBigJobsToTheGroup) {
+  Options pipeline;
+  pipeline.device = test_spec();
+  pipeline.mode = Mode::OutOfCoreGpuDynamic;
+  pipeline.numeric_format = NumericFormat::SparseBinarySearch;
+  pipeline.ordering = Ordering::None;
+  pipeline.match_diagonal = false;
+  {
+    SCOPED_TRACE("identity permutations, Algorithm 4 symbolic");
+    expect_big_job_routed(pipeline);
+  }
+  // The options the route must not drop: equilibration scales, a
+  // fill-reducing ordering and the default symbolic driver.
+  pipeline.preprocess.equilibrate = true;
+  pipeline.ordering = Ordering::Rcm;
+  pipeline.mode = Options{}.mode;
+  {
+    SCOPED_TRACE("equilibrate + RCM, default mode");
+    const service::JobResult rbig = expect_big_job_routed(pipeline);
+    EXPECT_GT(rbig.factors.preprocess_order.ops, 0u);
+    EXPECT_GT(rbig.factors.preprocess_scale.ops, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
