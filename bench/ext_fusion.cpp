@@ -1,4 +1,4 @@
-// Extension: level fusion + async streams on the numeric phase.
+// Extension: level fusion on the numeric phase.
 //
 // The Figure 4 pipelines spend their numeric tail in type-C territory:
 // thousands of narrow levels, each a handful of 1-block launches running
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   bench::TraceSession trace_session;
   constexpr index_t kScale = 64;
 
-  std::printf("=== Extension: level fusion + async streams, numeric phase "
+  std::printf("=== Extension: level fusion, numeric phase "
               "(fused vs per-level, Table 2 suite) ===\n");
   std::printf("%-5s %7s %7s %7s | %8s %8s | %9s %9s | %7s %7s | %4s %5s\n",
               "abbr", "n", "levels", "fused", "lnch/un", "lnch/fu", "sim un",

@@ -1,8 +1,14 @@
-// Internal building blocks shared by the numeric executors: the atomic
-// update, Algorithm 6's binary search, the per-column factorization step
-// of Algorithm 2, and the numeric side of fused-cluster execution.
+// Internal building blocks shared by the numeric executors: the only copy
+// of Algorithm 2's column step (divide_column, update_sub_column and the
+// block-per-column body process_column), Algorithm 6's binary search, and
+// the executor frame every device executor runs its clusters in.
+//
+// The executors differ only in how an element is reached — As itself in
+// sorted CSC (binary search or replay task list) or a dense-window slot —
+// so each passes its element access into the same column step.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -10,9 +16,11 @@
 
 #include "fault/fault.hpp"
 #include "gpusim/device.hpp"
+#include "numeric/factor_window.hpp"
 #include "numeric/numeric.hpp"
 #include "scheduling/ready_flags.hpp"
 #include "support/check.hpp"
+#include "support/timer.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
@@ -34,9 +42,9 @@ inline void atomic_sub(value_t& slot, value_t delta) {
 
 /// Reads the pivot of column `j` through `slot` (the storage the executor
 /// divides by: As(j,j) in CSC, or the dense-window slot) and validates it.
-/// Every executor's division step goes through here, so this is both the
-/// single zero/NaN-pivot detection point and the fault-injection point: an
-/// armed pivot clause overwrites the stored value first, exactly as if the
+/// divide_column is the only caller, so this is both the single
+/// zero/NaN-pivot detection point and the fault-injection point: an armed
+/// pivot clause overwrites the stored value first, exactly as if the
 /// device had returned corrupted data. Throws ZeroPivotError — which the
 /// ThreadPool re-raises on the launching thread — on zero or non-finite.
 inline value_t load_pivot(value_t& slot, index_t j) {
@@ -76,46 +84,107 @@ inline offset_t bsearch_position(const Csc& csc, index_t j, index_t i,
   return -1;
 }
 
-/// Factorizes column j of `m` in place with binary-search element access
-/// (lines 2-6 of Algorithm 2, then the sub-column updates of lines 7-15).
+/// Column j's sub-columns are the strictly-upper entries of pattern row
+/// j: CSR positions [first_sub_column(m, j), row_ptr[j + 1]), a suffix of
+/// the row because rows are sorted.
+inline offset_t first_sub_column(const FactorMatrix& m, index_t j) {
+  const auto cols = m.pattern.row_cols(j);
+  return m.pattern.row_ptr[j] +
+         (std::upper_bound(cols.begin(), cols.end(), j) - cols.begin());
+}
+
+/// Number of rows of L(:,j): the updates each live sub-column receives.
+inline offset_t l_length(const FactorMatrix& m, index_t j) {
+  return m.csc.col_ptr[j + 1] - m.diag_pos[j] - 1;
+}
+
+/// Lines 2-6 of Algorithm 2: loads and checks column j's pivot, then
+/// divides L(:,j) by it. `at(p)` is the storage of CSC position p of
+/// column j in the executor's format. Returns the ops charged: one per
+/// divided element.
+template <class At>
+inline std::uint64_t divide_column(const FactorMatrix& m, index_t j,
+                                   At&& at) {
+  const offset_t dp = m.diag_pos[j];
+  const offset_t col_end = m.csc.col_ptr[j + 1];
+  const value_t diag = load_pivot(at(dp), j);
+  for (offset_t p = dp + 1; p < col_end; ++p) at(p) /= diag;
+  return static_cast<std::uint64_t>(col_end - dp - 1);
+}
+
+/// Lines 7-15 of Algorithm 2 for one sub-column k of column j:
+/// As(i_t,k) -= L(i_t,j) * U(j,k) for the `len` rows i_t of L(:,j).
+/// `src(t)` reads L(i_t,j) and `dst(t)` is As(i_t,k)'s storage in the
+/// executor's format — a dense slot, a task-list destination, or
+/// Algorithm 6's binary search, which charges its probes to `ops` itself.
+/// Charges one op for the U(j,k) read and one per update. A zero U(j,k)
+/// is a numerically dead sub-column: nothing is updated and this returns
+/// false.
+template <class Src, class Dst>
+inline bool update_sub_column(value_t ujk, offset_t len, Src&& src,
+                              Dst&& dst, std::uint64_t& ops) {
+  ++ops;
+  if (ujk == value_t{0}) return false;
+  for (offset_t t = 0; t < len; ++t) {
+    atomic_sub(dst(t), src(t) * ujk);
+    ++ops;
+  }
+  return true;
+}
+
+/// Algorithm 2's column step for column j in one block: divide_column
+/// through `at`, then update(rp, ops) for every sub-column rp in pattern
+/// order. Returns the ops charged.
+template <class At, class Update>
+inline std::uint64_t process_column(const FactorMatrix& m, index_t j,
+                                    At&& at, Update&& update) {
+  std::uint64_t ops = divide_column(m, j, at);
+  for (offset_t rp = first_sub_column(m, j); rp < m.pattern.row_ptr[j + 1];
+       ++rp) {
+    update(rp, ops);
+  }
+  return ops;
+}
+
+/// Element access of the CSC formats (binary search and replay): As's own
+/// value array.
+inline auto csc_at(FactorMatrix& m) {
+  return [&m](offset_t p) -> value_t& { return m.csc.values[p]; };
+}
+
+/// The sparse format's sub-column update for CSR position rp of row j: L
+/// and U(j,k) read in place, each As(i,k) found by Algorithm 6.
+inline bool update_sub_column_bsearch(FactorMatrix& m, index_t j,
+                                      offset_t rp, std::uint64_t& ops) {
+  const index_t k = m.pattern.col_idx[rp];
+  const offset_t l0 = m.diag_pos[j] + 1;
+  return update_sub_column(
+      m.csc.values[m.csr_pos_to_csc[rp]], l_length(m, j),
+      [&](offset_t t) { return m.csc.values[l0 + t]; },
+      [&](offset_t t) -> value_t& {
+        return m.csc.values[bsearch_position(m.csc, k, m.csc.row_idx[l0 + t],
+                                             ops)];
+      },
+      ops);
+}
+
+/// Factorizes column j of `m` in place with binary-search element access.
 /// Used by the sequential reference, the sparse GPU executor, and the
 /// sharded executor. `sub_column_hook(k, l_len)` fires once per
 /// numerically live sub-column target k (with l_len update contributions
-/// about to land in column k) — the sharded executor tallies cross-device
+/// landed in column k) — the sharded executor tallies cross-device
 /// contribution traffic through it. The hook observes only; the update
 /// arithmetic and its order are identical for every caller, which is what
 /// makes sharded factors bit-identical to single-device ones.
 template <class SubColumnHook>
 inline std::uint64_t process_column_sparse(FactorMatrix& m, index_t j,
                                            SubColumnHook&& sub_column_hook) {
-  std::uint64_t ops = 0;
-  const offset_t dp = m.diag_pos[j];
-  const value_t diag = load_pivot(m.csc.values[dp], j);
-
-  const offset_t col_end = m.csc.col_ptr[j + 1];
-  for (offset_t p = dp + 1; p < col_end; ++p) {
-    m.csc.values[p] /= diag;  // L(:,j); entries below the diagonal
-    ++ops;
-  }
-
-  // Sub-columns: the strictly-upper entries of pattern row j.
-  for (offset_t rp = m.pattern.row_ptr[j]; rp < m.pattern.row_ptr[j + 1];
-       ++rp) {
-    const index_t k = m.pattern.col_idx[rp];
-    if (k <= j) continue;
-    const value_t ujk = m.csc.values[m.csr_pos_to_csc[rp]];
-    ++ops;
-    if (ujk == value_t{0}) continue;  // numerically dead sub-column
-    sub_column_hook(k, static_cast<offset_t>(col_end - dp - 1));
-    for (offset_t p = dp + 1; p < col_end; ++p) {
-      const index_t i = m.csc.row_idx[p];
-      const value_t lij = m.csc.values[p];
-      const offset_t pos = bsearch_position(m.csc, k, i, ops);
-      atomic_sub(m.csc.values[pos], lij * ujk);
-      ++ops;
-    }
-  }
-  return ops;
+  return process_column(
+      m, j, csc_at(m), [&](offset_t rp, std::uint64_t& ops) {
+        if (update_sub_column_bsearch(m, j, rp, ops)) {
+          sub_column_hook(m.pattern.col_idx[rp], l_length(m, j));
+        }
+      });
 }
 
 inline std::uint64_t process_column_sparse(FactorMatrix& m, index_t j) {
@@ -153,51 +222,6 @@ inline void wait_cluster_predecessors(const FactorMatrix& m,
   }
 }
 
-/// Runs levels [lo, hi) of `s` as one fused launch (`cfg` supplies name,
-/// block size, efficiency and stream; grid and fused_levels are filled
-/// in): block b owns column j = level_cols[level_ptr[lo] + b], waits on its
-/// in-cluster predecessors, then runs work(p, j, ctx) with p its schedule
-/// position. `flags` is allocated on first use and shared by every
-/// cluster of the factorization. Books the cluster into `stats`, the
-/// numeric.fused_levels counter and a numeric.cluster span carrying the
-/// chain-vs-charged cost pair.
-template <class ColumnWork>
-inline void run_fused_cluster(gpusim::Device& dev, const FactorMatrix& m,
-                              const scheduling::LevelSchedule& s, index_t lo,
-                              index_t hi, gpusim::LaunchConfig cfg,
-                              const char* format,
-                              std::optional<scheduling::ReadyFlags>& flags,
-                              NumericStats& stats, ColumnWork&& work) {
-  const index_t first_pos = s.level_ptr[lo];
-  const index_t width = s.level_ptr[hi] - first_pos;
-  if (!flags) flags.emplace(static_cast<std::size_t>(m.n()));
-  trace::Span span("numeric.cluster", dev,
-                   {{"first_level", lo},
-                    {"levels", hi - lo},
-                    {"columns", width},
-                    {"format", format}});
-  cfg.blocks = width;
-  cfg.fused_levels = static_cast<int>(hi - lo);
-  const scheduling::FusedCost cost = flags->launch(
-      dev, cfg, [&](std::int64_t b, gpusim::KernelContext& ctx) {
-        const index_t p = first_pos + static_cast<index_t>(b);
-        const index_t j = s.level_cols[p];
-        flags->run_block(
-            static_cast<std::size_t>(j), ctx,
-            [&](auto&& wait) {
-              wait_cluster_predecessors(m, s, lo, j, ctx, wait);
-            },
-            [&] { work(p, j, ctx); });
-      });
-  span.attr("chain_us", cost.chain_us);
-  span.attr("charged_us", cost.charged_us);
-  stats.fused_levels += hi - lo;
-  ++stats.fused_clusters;
-  trace::MetricsRegistry::global()
-      .counter("numeric.fused_levels")
-      .add(static_cast<std::uint64_t>(hi - lo));
-}
-
 /// Width-weighted mean warp efficiency over a cluster's levels — the
 /// efficiency the single fused launch is charged with.
 inline double cluster_warp_eff(const LevelPlan& plan,
@@ -213,36 +237,108 @@ inline double cluster_warp_eff(const LevelPlan& plan,
   return cols == 0 ? 1.0 : sum / cols;
 }
 
-/// Mean strictly-lower column length over one level — drives the
-/// warp-efficiency estimate for its kernels.
-inline double mean_l_length(const FactorMatrix& m,
-                            const scheduling::LevelSchedule& s, index_t l) {
-  std::uint64_t total = 0;
-  for (index_t k = s.level_ptr[l]; k < s.level_ptr[l + 1]; ++k) {
-    const index_t j = s.level_cols[k];
-    total += static_cast<std::uint64_t>(m.csc.col_ptr[j + 1] -
-                                        m.diag_pos[j] - 1);
+/// The frame every device executor runs in: the wall timer, the
+/// kernel-ops delta, and the level plan — the caller's cached one or a
+/// local one built from opt.fusion, so classification and clustering
+/// happen once per factorize — checked against the schedule. The
+/// executor supplies one cluster body; run() drives it through the shared
+/// cluster loop (run_clusters: resident or windowed per opt.window).
+///
+/// With `upload_mirrors`, a resident run also uploads As's arrays
+/// (DeviceFactorMatrix) for its lifetime, unless the caller already holds
+/// them (opt.device_resident); a windowed run keeps no full-size mirrors,
+/// only the window arena is charged against device memory.
+class ExecutorFrame {
+ public:
+  ExecutorFrame(gpusim::Device& dev, const FactorMatrix& m,
+                const scheduling::LevelSchedule& s, const NumericOptions& opt,
+                const LevelPlan* cached_plan, bool upload_mirrors)
+      : dev_(dev),
+        m_(m),
+        s_(s),
+        window_(opt.window),
+        ops_before_(dev.stats().kernel_ops) {
+    if (cached_plan == nullptr) {
+      local_plan_.emplace(build_level_plan(m, s, dev.spec(), opt.fusion));
+    }
+    plan_ = cached_plan != nullptr ? cached_plan : &*local_plan_;
+    E2ELU_CHECK_MSG(
+        plan_->type.size() == static_cast<std::size_t>(s.num_levels()),
+        "level plan does not match the schedule");
+    if (upload_mirrors && !opt.device_resident && !opt.window.enabled) {
+      mirrors_.emplace(dev, m);
+    }
   }
-  const index_t width = s.level_ptr[l + 1] - s.level_ptr[l];
-  return width == 0 ? 0.0 : static_cast<double>(total) / width;
-}
 
-/// Mean sub-column count over one level — the other axis of the GLU3.0
-/// level taxonomy.
-inline double mean_sub_columns(const FactorMatrix& m,
-                               const scheduling::LevelSchedule& s,
-                               index_t l) {
-  std::uint64_t total = 0;
-  for (index_t k = s.level_ptr[l]; k < s.level_ptr[l + 1]; ++k) {
-    const index_t j = s.level_cols[k];
-    // Strictly-upper length of pattern row j equals the CSR row length
-    // minus the lower-and-diagonal prefix.
-    const auto cols = m.pattern.row_cols(j);
-    const auto it = std::upper_bound(cols.begin(), cols.end(), j);
-    total += static_cast<std::uint64_t>(cols.end() - it);
+  const LevelPlan& plan() const { return *plan_; }
+  /// The executor's own counters; run() adds ops, wall time and the
+  /// window's.
+  NumericStats& stats() { return stats_; }
+
+  /// Runs levels [lo, hi) as one fused launch `name` on `stream`, charged
+  /// with the cluster's width-weighted warp efficiency: block b owns
+  /// column j = level_cols[level_ptr[lo] + b], waits on its in-cluster
+  /// predecessors, then runs work(p, j, ctx) with p its schedule position.
+  /// Books the cluster into `stats`, the numeric.fused_levels counter and
+  /// a numeric.cluster span carrying the chain-vs-charged cost pair.
+  template <class ColumnWork>
+  void run_fused_cluster(index_t lo, index_t hi, const char* name,
+                         gpusim::Stream* stream, const char* format,
+                         ColumnWork&& work) {
+    const index_t first_pos = s_.level_ptr[lo];
+    const index_t width = s_.level_ptr[hi] - first_pos;
+    if (!flags_) flags_.emplace(static_cast<std::size_t>(m_.n()));
+    trace::Span span("numeric.cluster", dev_,
+                     {{"first_level", lo},
+                      {"levels", hi - lo},
+                      {"columns", width},
+                      {"format", format}});
+    const scheduling::FusedCost cost = flags_->launch(
+        dev_,
+        {.name = name,
+         .blocks = width,
+         .threads_per_block = 256,
+         .warp_efficiency = cluster_warp_eff(*plan_, s_, lo, hi),
+         .fused_levels = static_cast<int>(hi - lo),
+         .stream = stream},
+        [&](std::int64_t b, gpusim::KernelContext& ctx) {
+          const index_t p = first_pos + static_cast<index_t>(b);
+          const index_t j = s_.level_cols[p];
+          flags_->run_block(
+              static_cast<std::size_t>(j), ctx,
+              [&](auto&& wait) {
+                wait_cluster_predecessors(m_, s_, lo, j, ctx, wait);
+              },
+              [&] { work(p, j, ctx); });
+        });
+    span.attr("chain_us", cost.chain_us);
+    span.attr("charged_us", cost.charged_us);
+    stats_.fused_levels += hi - lo;
+    ++stats_.fused_clusters;
+    trace::MetricsRegistry::global()
+        .counter("numeric.fused_levels")
+        .add(static_cast<std::uint64_t>(hi - lo));
   }
-  const index_t width = s.level_ptr[l + 1] - s.level_ptr[l];
-  return width == 0 ? 0.0 : static_cast<double>(total) / width;
-}
+
+  NumericStats run(const ExecuteClusterFn& execute_cluster) {
+    run_clusters(dev_, m_, s_, *plan_, window_, stats_, execute_cluster);
+    stats_.ops = dev_.stats().kernel_ops - ops_before_;
+    stats_.wall_ms = timer_.millis();
+    return stats_;
+  }
+
+ private:
+  WallTimer timer_;
+  NumericStats stats_;
+  gpusim::Device& dev_;
+  const FactorMatrix& m_;
+  const scheduling::LevelSchedule& s_;
+  const WindowOptions& window_;
+  std::uint64_t ops_before_;
+  std::optional<LevelPlan> local_plan_;
+  const LevelPlan* plan_ = nullptr;
+  std::optional<DeviceFactorMatrix> mirrors_;
+  std::optional<scheduling::ReadyFlags> flags_;  ///< fused clusters only
+};
 
 }  // namespace e2elu::numeric::detail

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "numeric/column_kernel.hpp"
 #include "numeric/numeric.hpp"
 #include "support/check.hpp"
 
@@ -66,6 +65,24 @@ FactorMatrix FactorMatrix::build(const Csr& filled, const Csr& a) {
   return m;
 }
 
+namespace {
+
+/// Mean strictly-lower column length over one level — drives the
+/// warp-efficiency estimate for its kernels.
+double mean_l_length(const FactorMatrix& m, const scheduling::LevelSchedule& s,
+                     index_t l) {
+  std::uint64_t total = 0;
+  for (index_t k = s.level_ptr[l]; k < s.level_ptr[l + 1]; ++k) {
+    const index_t j = s.level_cols[k];
+    total += static_cast<std::uint64_t>(m.csc.col_ptr[j + 1] -
+                                        m.diag_pos[j] - 1);
+  }
+  const index_t width = s.level_ptr[l + 1] - s.level_ptr[l];
+  return width == 0 ? 0.0 : static_cast<double>(total) / width;
+}
+
+}  // namespace
+
 LevelPlan build_level_plan(const FactorMatrix& m,
                            const scheduling::LevelSchedule& s,
                            const gpusim::DeviceSpec& spec,
@@ -75,7 +92,7 @@ LevelPlan build_level_plan(const FactorMatrix& m,
   plan.warp_eff.resize(static_cast<std::size_t>(s.num_levels()));
   for (index_t l = 0; l < s.num_levels(); ++l) {
     plan.warp_eff[l] =
-        spec.simt_efficiency(std::max(detail::mean_l_length(m, s, l), 1.0));
+        spec.simt_efficiency(std::max(mean_l_length(m, s, l), 1.0));
   }
   plan.clusters = scheduling::build_cluster_schedule(s, spec, fusion);
   return plan;

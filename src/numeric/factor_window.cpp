@@ -172,10 +172,16 @@ void FactorWindow::finish(NumericStats& stats) {
 
 namespace detail {
 
-void run_windowed(gpusim::Device& dev, const FactorMatrix& m,
+void run_clusters(gpusim::Device& dev, const FactorMatrix& m,
                   const scheduling::LevelSchedule& s, const LevelPlan& plan,
                   const WindowOptions& wopt, NumericStats& stats,
                   const ExecuteClusterFn& execute_cluster) {
+  if (!wopt.enabled) {
+    for (index_t c = 0; c < plan.clusters.num_clusters(); ++c) {
+      execute_cluster(c, nullptr);
+    }
+    return;
+  }
   const std::size_t budget =
       wopt.budget_bytes != 0 ? wopt.budget_bytes : dev.free_bytes();
   WindowPlan wp =
@@ -192,7 +198,7 @@ void run_windowed(gpusim::Device& dev, const FactorMatrix& m,
     win.begin_group(g);
     for (index_t c = win.plan().first_cluster(g); c < win.plan().end_cluster(g);
          ++c) {
-      execute_cluster(c, win.compute_stream());
+      execute_cluster(c, &win.compute_stream());
     }
     win.retire_group(g);
   }

@@ -113,13 +113,17 @@ class FactorWindow {
 
 namespace detail {
 
-/// Issues every kernel of one cluster on the given stream.
-using ExecuteClusterFn = std::function<void(index_t, gpusim::Stream&)>;
+/// Issues every kernel of one cluster on `stream` (null: the default
+/// stream, a full barrier).
+using ExecuteClusterFn = std::function<void(index_t, gpusim::Stream*)>;
 
-/// The generic windowed driver the executors share: builds the plan
-/// (budget 0 resolves to the device's current free bytes), walks the
-/// groups through begin/execute/retire, and publishes the stats.
-void run_windowed(gpusim::Device& dev, const FactorMatrix& m,
+/// The cluster loop every executor shares, and the one place that decides
+/// resident versus windowed execution. Resident (window off), it runs
+/// every cluster in order with a null stream. Windowed, it builds the
+/// window plan (budget 0 resolves to the device's current free bytes),
+/// runs the clusters group by group through a FactorWindow on its compute
+/// stream, and publishes the window counters into `stats`.
+void run_clusters(gpusim::Device& dev, const FactorMatrix& m,
                   const scheduling::LevelSchedule& s, const LevelPlan& plan,
                   const WindowOptions& wopt, NumericStats& stats,
                   const ExecuteClusterFn& execute_cluster);

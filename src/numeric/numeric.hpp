@@ -195,11 +195,6 @@ struct NumericOptions {
   /// authoritative. Off by default: the per-level path is the
   /// bit-exactness reference.
   scheduling::FusionOptions fusion;
-  /// Number of simulated streams the per-column type-C launches rotate
-  /// over (1 = today's synchronous behaviour). Streams overlap the
-  /// div/update kernel time of independent columns in the sim clock;
-  /// results are bit-identical because execution stays eager.
-  int async_streams = 1;
 };
 
 struct NumericStats {
@@ -226,7 +221,8 @@ NumericStats factorize_reference(FactorMatrix& m,
 
 /// GLU3.0-style dense-window execution on the simulated device. A non-null
 /// `plan` (matching `s`) supplies cached per-level types/warp efficiencies
-/// instead of recomputing them.
+/// instead of recomputing them. Throws gpusim::OutOfDeviceMemory when the
+/// free memory cannot hold two dense columns.
 NumericStats factorize_dense_window(gpusim::Device& device, FactorMatrix& m,
                                     const scheduling::LevelSchedule& s,
                                     const NumericOptions& opt = {},

@@ -17,9 +17,7 @@
 #include <optional>
 
 #include "numeric/column_kernel.hpp"
-#include "numeric/factor_window.hpp"
 #include "numeric/numeric.hpp"
-#include "support/timer.hpp"
 #include "trace/trace.hpp"
 
 namespace e2elu::numeric {
@@ -109,45 +107,43 @@ NumericStats factorize_replay(gpusim::Device& dev, FactorMatrix& m,
                               const LevelPlan& plan, const ReplayPlan& replay,
                               DeviceReplayPlan& storage,
                               const NumericOptions& opt) {
-  WallTimer timer;
-  NumericStats stats;
-  const std::uint64_t ops_before = dev.stats().kernel_ops;
-  E2ELU_CHECK_MSG(plan.warp_eff.size() ==
-                      static_cast<std::size_t>(s.num_levels()),
-                  "level plan does not match the schedule");
+  detail::ExecutorFrame frame(dev, m, s, opt, &plan,
+                              /*upload_mirrors=*/false);
   E2ELU_CHECK_MSG(replay.level_ptr.size() ==
                       static_cast<std::size_t>(s.num_levels()) + 1,
                   "replay plan does not match the schedule");
   const bool unified = storage.tasks_unified.has_value();
 
-  // The per-sub-column update: destinations read straight from the task
-  // list. Shared verbatim between the per-level update grid and the fused
-  // per-column blocks, so both execute identical arithmetic in identical
-  // order.
-  auto apply_sub_column = [&](std::size_t sc, std::uint64_t& ops) {
-    const value_t ujk = m.csc.values[replay.ujk_pos[sc]];
-    ++ops;
-    if (ujk == value_t{0}) return;
-    gpusim::UnifiedBuffer<std::uint32_t>::Stream stream;
-    const std::uint32_t t0 = replay.task_start[sc];
-    const std::uint32_t t1 = replay.task_start[sc + 1];
-    const std::uint32_t src = replay.src_start[sc];
-    for (std::uint32_t t = t0; t < t1; ++t) {
-      const std::uint32_t dst = unified
-                                    ? storage.tasks_unified->gpu_at(stream, t)
-                                    : (*storage.tasks_device)[t];
-      detail::atomic_sub(m.csc.values[dst],
-                         m.csc.values[src + (t - t0)] * ujk);
-      ++ops;
-    }
+  // Managed task lists prefetch the slice of sub-columns [sc0, sc1) ahead
+  // of the kernel that reads it — the paper's own answer to
+  // managed-memory fault storms (Figure 5).
+  auto prefetch = [&](offset_t sc0, offset_t sc1) {
+    if (!unified) return;
+    const std::uint32_t t0 = replay.task_start[sc0];
+    const std::uint32_t t1 = replay.task_start[sc1];
+    if (t1 > t0) storage.tasks_unified->prefetch(t0, t1 - t0);
   };
 
-  std::optional<scheduling::ReadyFlags> flags;  // fused clusters only
+  // The replay format's sub-column update: L(:,j) and U(j,k) read in
+  // place, destinations straight from the task list.
+  auto update = [&](offset_t sc, std::uint64_t& ops) {
+    gpusim::UnifiedBuffer<std::uint32_t>::Stream pages;
+    const std::uint32_t t0 = replay.task_start[sc];
+    const std::uint32_t src = replay.src_start[sc];
+    detail::update_sub_column(
+        m.csc.values[replay.ujk_pos[sc]], replay.task_start[sc + 1] - t0,
+        [&](offset_t t) { return m.csc.values[src + t]; },
+        [&](offset_t t) -> value_t& {
+          const std::size_t task = t0 + static_cast<std::size_t>(t);
+          return m.csc.values[unified
+                                  ? storage.tasks_unified->gpu_at(pages, task)
+                                  : (*storage.tasks_device)[task]];
+        },
+        ops);
+  };
+
   const scheduling::ClusterSchedule& cs = plan.clusters;
-  // The whole per-cluster body, parameterized on the stream its launches
-  // go to: null for the classic serial path, the window's compute stream
-  // in out-of-core mode (where the prefetch stream overlaps it).
-  auto execute_cluster = [&](index_t cl, gpusim::Stream* wstream) {
+  return frame.run([&](index_t cl, gpusim::Stream* stream) {
     const index_t lo = cs.first_level(cl);
     const index_t hi = cs.end_level(cl);
 
@@ -156,33 +152,21 @@ NumericStats factorize_replay(gpusim::Device& dev, FactorMatrix& m,
                           static_cast<std::size_t>(m.n()) + 1,
                       "replay plan lacks per-column sub-column ranges "
                       "needed for fused execution");
-      if (unified) {
-        // One prefetch for the whole cluster's task slice — coarser than
-        // the per-level prefetch below, which is the point: fewer calls.
-        const std::uint32_t t0 = replay.task_start[replay.level_ptr[lo]];
-        const std::uint32_t t1 = replay.task_start[replay.level_ptr[hi]];
-        if (t1 > t0) storage.tasks_unified->prefetch(t0, t1 - t0);
-      }
-      detail::run_fused_cluster(
-          dev, m, s, lo, hi,
-          {.name = "replay_fused",
-           .threads_per_block = 256,
-           .warp_efficiency = detail::cluster_warp_eff(plan, s, lo, hi),
-           .stream = wstream},
-          "replay", flags, stats,
+      // One prefetch for the whole cluster's task slice — coarser than
+      // the per-level prefetch below, which is the point: fewer calls.
+      prefetch(replay.level_ptr[lo], replay.level_ptr[hi]);
+      frame.run_fused_cluster(
+          lo, hi, "replay_fused", stream, "replay",
           [&](index_t p, index_t j, gpusim::KernelContext& ctx) {
-            std::uint64_t ops = 0;
-            const offset_t dp = m.diag_pos[j];
-            const value_t diag = detail::load_pivot(m.csc.values[dp], j);
-            for (offset_t q = dp + 1; q < m.csc.col_ptr[j + 1]; ++q) {
-              m.csc.values[q] /= diag;
-              ++ops;
-            }
-            for (offset_t sc = replay.col_sub_ptr[p];
-                 sc < replay.col_sub_ptr[p + 1]; ++sc) {
-              apply_sub_column(static_cast<std::size_t>(sc), ops);
-            }
-            ctx.add_ops(ops);
+            // The plan lists column j's sub-columns in pattern-row order
+            // from col_sub_ptr[p]: the column step visits them in that
+            // order too.
+            ctx.add_ops(detail::process_column(
+                m, j, detail::csc_at(m),
+                [&, sc = replay.col_sub_ptr[p]](offset_t,
+                                                std::uint64_t& ops) mutable {
+                  update(sc++, ops);
+                }));
           });
       return;
     }
@@ -199,58 +183,28 @@ NumericStats factorize_replay(gpusim::Device& dev, FactorMatrix& m,
                 .blocks = s.level_width(l),
                 .threads_per_block = 256,
                 .warp_efficiency = warp_eff,
-                .stream = wstream},
+                .stream = stream},
                [&](std::int64_t b, gpusim::KernelContext& ctx) {
                  const index_t j =
                      s.level_cols[s.level_ptr[l] + static_cast<index_t>(b)];
-                 const offset_t dp = m.diag_pos[j];
-                 const value_t diag =
-                     detail::load_pivot(m.csc.values[dp], j);
-                 std::uint64_t ops = 0;
-                 for (offset_t p = dp + 1; p < m.csc.col_ptr[j + 1]; ++p) {
-                   m.csc.values[p] /= diag;
-                   ++ops;
-                 }
-                 ctx.add_ops(ops);
+                 ctx.add_ops(detail::divide_column(m, j, detail::csc_at(m)));
                });
 
     const offset_t sub_begin = replay.level_ptr[l];
     const offset_t sub_end = replay.level_ptr[l + 1];
     if (sub_begin == sub_end) return;
-    if (unified) {
-      // Prefetch this level's task slice ahead of the kernel — the
-      // paper's own answer to managed-memory fault storms (Figure 5).
-      const std::uint32_t t0 = replay.task_start[sub_begin];
-      const std::uint32_t t1 = replay.task_start[sub_end];
-      if (t1 > t0) storage.tasks_unified->prefetch(t0, t1 - t0);
-    }
-    dev.launch(
-        {.name = "replay_update",
-         .blocks = sub_end - sub_begin,
-         .threads_per_block = 256,
-         .warp_efficiency = warp_eff,
-         .stream = wstream},
-        [&](std::int64_t b, gpusim::KernelContext& ctx) {
-          std::uint64_t ops = 0;
-          apply_sub_column(static_cast<std::size_t>(sub_begin + b), ops);
-          ctx.add_ops(ops);
-        });
-  };
-
-  if (opt.window.enabled) {
-    detail::run_windowed(dev, m, s, plan, opt.window, stats,
-                         [&](index_t cl, gpusim::Stream& st) {
-                           execute_cluster(cl, &st);
-                         });
-  } else {
-    for (index_t cl = 0; cl < cs.num_clusters(); ++cl) {
-      execute_cluster(cl, nullptr);
-    }
-  }
-
-  stats.ops = dev.stats().kernel_ops - ops_before;
-  stats.wall_ms = timer.millis();
-  return stats;
+    prefetch(sub_begin, sub_end);
+    dev.launch({.name = "replay_update",
+                .blocks = sub_end - sub_begin,
+                .threads_per_block = 256,
+                .warp_efficiency = warp_eff,
+                .stream = stream},
+               [&](std::int64_t b, gpusim::KernelContext& ctx) {
+                 std::uint64_t ops = 0;
+                 update(sub_begin + static_cast<offset_t>(b), ops);
+                 ctx.add_ops(ops);
+               });
+  });
 }
 
 }  // namespace e2elu::numeric

@@ -21,6 +21,7 @@
 #include "solve/service.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
+#include "trace/metrics.hpp"
 
 namespace e2elu {
 namespace {
@@ -272,6 +273,66 @@ TEST(FaultRecovery, DisabledRecoveryThrowsStructuredError) {
     EXPECT_EQ(e.kind(), FaultKind::ZeroPivot);
     EXPECT_EQ(e.phase(), "numeric");
     EXPECT_EQ(e.column(), 7);
+  }
+}
+
+TEST(FaultRecovery, DenseWindowShortfallFallsBackToSparse) {
+  // A device just big enough for the sparse format's mirrors cannot also
+  // hold two dense window columns. The dense executor's refusal must be a
+  // device OOM, so the numeric recovery falls back to the sparse format.
+  const Csr a = gen_banded(400, 64, 40.0, 7);
+  ThreadPool serial(1);
+  auto options = [&](std::size_t bytes, NumericFormat format) {
+    Options opt;
+    opt.device = gpusim::DeviceSpec::v100_with_memory(bytes);
+    opt.numeric_format = format;
+    opt.pool = &serial;
+    return opt;
+  };
+  auto sparse_fits = [&](std::size_t bytes) {
+    Options opt = options(bytes, NumericFormat::SparseBinarySearch);
+    opt.recovery.enabled = false;
+    try {
+      SparseLU(opt).factorize(a);
+      return true;
+    } catch (const FactorError&) {
+      return false;
+    }
+  };
+  // Smallest device on which the sparse format factors cleanly.
+  std::size_t lo = 1u << 10, hi = 64u << 20;
+  ASSERT_FALSE(sparse_fits(lo));
+  ASSERT_TRUE(sparse_fits(hi));
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    (sparse_fits(mid) ? hi : lo) = mid;
+  }
+  ASSERT_FALSE(numeric::should_use_sparse_format(
+      options(hi, NumericFormat::Auto).device, a.n));
+
+  const FactorResult sparse =
+      SparseLU(options(hi, NumericFormat::SparseBinarySearch)).factorize(a);
+  auto& fallbacks = trace::MetricsRegistry::global().counter(
+      "recovery.numeric.format_fallback");
+  const std::uint64_t fallbacks_before = fallbacks.value();
+  const FactorResult res =
+      SparseLU(options(hi, NumericFormat::Auto)).factorize(a);
+  EXPECT_TRUE(res.used_sparse_numeric);
+  EXPECT_EQ(res.recovery_retries, 1);
+  EXPECT_EQ(fallbacks.value() - fallbacks_before, 1u);
+  EXPECT_EQ(res.row_perm, sparse.row_perm);
+  EXPECT_EQ(res.col_perm, sparse.col_perm);
+  EXPECT_EQ(res.l.values, sparse.l.values);
+  EXPECT_EQ(res.u.values, sparse.u.values);
+
+  Options strict = options(hi, NumericFormat::Auto);
+  strict.recovery.enabled = false;
+  try {
+    SparseLU(strict).factorize(a);
+    FAIL() << "expected FactorError";
+  } catch (const FactorError& e) {
+    EXPECT_EQ(e.kind(), FaultKind::DeviceOutOfMemory);
+    EXPECT_EQ(e.phase(), "numeric");
   }
 }
 

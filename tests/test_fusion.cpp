@@ -7,6 +7,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "charge_pins.hpp"
 #include "gpusim/device.hpp"
 #include "matrix/generators.hpp"
 #include "numeric/numeric.hpp"
@@ -192,15 +193,20 @@ scheduling::FusionOptions fusion_on() {
   return f;
 }
 
+using pins::ChargePin;
+
 /// Runs one executor twice — fusion off and on — on a single-worker pool
-/// (deterministic block order) and requires bitwise-identical factors plus
-/// an actual launch reduction.
+/// (deterministic block order) and requires bitwise-identical factors, an
+/// actual launch reduction, and each run's device charges equal to its pin.
 enum class Path { Sparse, Dense, Replay };
 
-void expect_fused_bit_identical(const Csr& a, Path path) {
+void expect_fused_bit_identical(const Csr& a, Path path,
+                                const ChargePin& unfused_pin,
+                                const ChargePin& fused_pin,
+                                std::size_t device_bytes = 1u << 30) {
   ThreadPool serial(1);
   const gpusim::DeviceSpec spec =
-      gpusim::DeviceSpec::v100_with_memory(1u << 30);
+      gpusim::DeviceSpec::v100_with_memory(device_bytes);
 
   auto run = [&](bool fused, std::uint64_t& launches,
                  index_t& fused_levels) {
@@ -243,6 +249,7 @@ void expect_fused_bit_identical(const Csr& a, Path path) {
       EXPECT_EQ(st.fused_levels, 0);
       EXPECT_EQ(dev.stats().fused_launches, 0u);
     }
+    pins::expect_charges(dev.stats(), fused ? fused_pin : unfused_pin);
     // Returning the factored values for the memcmp below.
     return p.fm.csc.values;
   };
@@ -262,15 +269,27 @@ void expect_fused_bit_identical(const Csr& a, Path path) {
 // Circuit matrices levelize into the deep narrow schedules fusion exists
 // for; the banded chain below is the worst case (every level width 1).
 TEST(FusedExecution, SparseBitIdenticalToUnfused) {
-  expect_fused_bit_identical(gen_circuit(250, 4.0, 3, 16, 32), Path::Sparse);
+  expect_fused_bit_identical(gen_circuit(250, 4.0, 3, 16, 32), Path::Sparse,
+                             {331, 0, 1378714, 0, 288056, 0, 0,
+                              1779.3856651316721, 1779.3856651316728},
+                             {1, 0, 1390299, 1, 288056, 0, 0,
+                              35.567033943311621, 35.567033943311621});
 }
 
 TEST(FusedExecution, DenseBitIdenticalToUnfused) {
-  expect_fused_bit_identical(gen_circuit(250, 4.0, 3, 16, 32), Path::Dense);
+  expect_fused_bit_identical(gen_circuit(250, 4.0, 3, 16, 32), Path::Dense,
+                             {831, 0, 2101922, 0, 288056, 0, 0,
+                              3655.5699284761622, 3655.569928476159},
+                             {3, 0, 232091, 1, 288056, 0, 0,
+                              37.267098261311993, 37.267098261311993});
 }
 
 TEST(FusedExecution, ReplayBitIdenticalToUnfused) {
-  expect_fused_bit_identical(gen_circuit(250, 4.0, 3, 16, 32), Path::Replay);
+  expect_fused_bit_identical(gen_circuit(250, 4.0, 3, 16, 32), Path::Replay,
+                             {499, 0, 196836, 0, 810500, 0, 0,
+                              2078.4310096092213, 2078.4310096092254},
+                             {1, 0, 208421, 1, 810500, 0, 0,
+                              72.675348090709704, 72.675348090709704});
 }
 
 TEST(FusedExecution, AllWidthOneChainFusesAndStaysBitIdentical) {
@@ -291,9 +310,45 @@ TEST(FusedExecution, AllWidthOneChainFusesAndStaysBitIdentical) {
   for (index_t l = 0; l < p.schedule.num_levels(); ++l) {
     ASSERT_EQ(p.schedule.level_width(l), 1);
   }
-  expect_fused_bit_identical(chain, Path::Sparse);
-  expect_fused_bit_identical(chain, Path::Dense);
-  expect_fused_bit_identical(chain, Path::Replay);
+  expect_fused_bit_identical(chain, Path::Sparse,
+                             {64, 0, 253, 0, 5600, 0, 0,
+                              279.36561266861179, 279.36561266861219},
+                             {1, 0, 379, 1, 5600, 0, 0,
+                              5.0026536068060707, 5.0026536068060707});
+  expect_fused_bit_identical(chain, Path::Dense,
+                             {192, 0, 945, 0, 5600, 0, 0,
+                              819.96666775404549, 819.96666775404299},
+                             {3, 0, 695, 1, 5600, 0, 0,
+                              13.449545092515969, 13.449545092515967});
+  expect_fused_bit_identical(chain, Path::Replay,
+                             {127, 0, 189, 0, 1012, 0, 0,
+                              525.19066058379826, 525.19066058379781},
+                             {1, 0, 315, 1, 1012, 0, 0,
+                              4.5298106054808587, 4.5298106054808587});
+}
+
+TEST(FusedExecution, ReplayManagedTaskListBitIdenticalToUnfused) {
+  // A device with room for the per-sub-column arrays and half the task
+  // array: the tasks land in managed memory and every update reads its
+  // destination through the paging model.
+  const Csr a = gen_circuit(250, 4.0, 3, 16, 32);
+  const Prepared p = prepare(a);
+  const ReplayPlan replay = build_replay_plan(p.fm, p.schedule);
+  const std::size_t bytes =
+      (replay.ujk_pos.size() + replay.src_start.size() +
+       replay.task_start.size() + replay.tasks.size() / 2) *
+      sizeof(std::uint32_t);
+  {
+    gpusim::Device dev(gpusim::DeviceSpec::v100_with_memory(bytes));
+    const DeviceReplayPlan storage(dev, replay);
+    ASSERT_TRUE(storage.tasks_unified.has_value());
+  }
+  expect_fused_bit_identical(a, Path::Replay,
+                             {499, 0, 196836, 0, 69496, 0, 0,
+                              2148.6806762758879, 2148.6806762758902},
+                             {1, 0, 208421, 1, 69496, 0, 181,
+                              5441.9250147573766, 5441.9250147573766},
+                             bytes);
 }
 
 TEST(FusedExecution, SingletonMatrixIsANoOpForFusion) {
@@ -342,24 +397,6 @@ TEST(FusedExecution, LevelPlanClustersAreAuthoritative) {
       factorize_sparse_bsearch(dev, p.fm, p.schedule, opt, &unfused_plan);
   EXPECT_EQ(st.fused_levels, 0);
   EXPECT_EQ(dev.stats().fused_launches, 0u);
-}
-
-TEST(AsyncStreams, RotatedTypeCLaunchesKeepFactorsExact) {
-  // Stream rotation changes only the time model; values stay exact.
-  const Csr a = gen_circuit(200, 4.0, 2, 14, 21);
-  Prepared ref = prepare(a);
-  factorize_reference(ref.fm, ref.schedule);
-
-  Prepared p = prepare(a);
-  gpusim::Device dev(gpusim::DeviceSpec::v100_with_memory(1u << 30));
-  NumericOptions opt;
-  opt.async_streams = 4;
-  factorize_sparse_bsearch(dev, p.fm, p.schedule, opt);
-  for (std::size_t k = 0; k < ref.fm.csc.values.size(); ++k) {
-    ASSERT_NEAR(p.fm.csc.values[k], ref.fm.csc.values[k], 1e-12);
-  }
-  // Overlap can only shorten the wall clock relative to serial totals.
-  EXPECT_LE(dev.stats().sim_elapsed_us, dev.stats().sim_total_us() + 1e-9);
 }
 
 }  // namespace

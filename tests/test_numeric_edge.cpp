@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "charge_pins.hpp"
 #include "core/sparse_lu.hpp"
 #include "gpusim/device.hpp"
 #include "matrix/convert.hpp"
@@ -110,6 +111,8 @@ TEST(NumericEdge, DenseWindowStreamsHugeColumns) {
   const NumericStats st = factorize_dense_window(dev, dense.fm, dense.schedule);
   EXPECT_LT(st.window_columns, n);
   EXPECT_GT(st.num_batches, 2);
+  pins::expect_charges(dev.stats(), {777, 0, 1209040, 0, 222736, 0, 0,
+                                     3224.9279214776334, 3224.9279214776038});
   for (std::size_t k = 0; k < ref.fm.csc.values.size(); ++k) {
     EXPECT_NEAR(dense.fm.csc.values[k], ref.fm.csc.values[k], 1e-9)
         << "k=" << k;

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "charge_pins.hpp"
 #include "core/sparse_lu.hpp"
 #include "gpusim/device.hpp"
 #include "matrix/generators.hpp"
@@ -125,11 +126,16 @@ TEST(WindowPlan, CoversEveryClusterAndCountsRefetches) {
   EXPECT_GT(refetches, 0u);
 }
 
+using pins::ChargePin;
+
 /// Runs one executor fully resident and windowed (serial pool, same
-/// kernels in the same order) and requires bitwise-identical factors.
+/// kernels in the same order) and requires bitwise-identical factors and
+/// each run's device charges equal to its pin.
 enum class Path { Sparse, Dense, Replay };
 
-void expect_windowed_bit_identical(const Csr& a, Path path, bool fused) {
+void expect_windowed_bit_identical(const Csr& a, Path path, bool fused,
+                                   const ChargePin& resident_pin,
+                                   const ChargePin& windowed_pin) {
   ThreadPool serial(1);
   const gpusim::DeviceSpec spec =
       gpusim::DeviceSpec::v100_with_memory(1u << 30);
@@ -173,6 +179,7 @@ void expect_windowed_bit_identical(const Csr& a, Path path, bool fused) {
     } else {
       EXPECT_EQ(st.window_groups, 0u);
     }
+    pins::expect_charges(dev.stats(), windowed ? windowed_pin : resident_pin);
     return p.fm.csc.values;
   };
 
@@ -194,23 +201,43 @@ void expect_windowed_bit_identical(const Csr& a, Path path, bool fused) {
 const Csr kMatrix = gen_circuit(250, 4.0, 3, 16, 32);
 
 TEST(WindowedExecution, SparseBitIdenticalToResident) {
-  expect_windowed_bit_identical(kMatrix, Path::Sparse, /*fused=*/false);
+  expect_windowed_bit_identical(kMatrix, Path::Sparse, /*fused=*/false,
+                                {331, 0, 1378714, 0, 288056, 0, 0,
+                                 1779.3856651316721, 1779.3856651316728},
+                                {331, 0, 1378714, 0, 11357364, 11357364, 0,
+                                 3774.274998465005, 3412.1000527173619});
 }
 
 TEST(WindowedExecution, SparseFusedBitIdenticalToResident) {
-  expect_windowed_bit_identical(kMatrix, Path::Sparse, /*fused=*/true);
+  expect_windowed_bit_identical(kMatrix, Path::Sparse, /*fused=*/true,
+                                {8, 0, 1390299, 8, 288056, 0, 0,
+                                 86.191346623687423, 86.191346623687409},
+                                {8, 0, 1390299, 8, 456456, 456456, 0,
+                                 142.26267995702077, 134.51933819816486});
 }
 
 TEST(WindowedExecution, DenseBitIdenticalToResident) {
-  expect_windowed_bit_identical(kMatrix, Path::Dense, /*fused=*/false);
+  expect_windowed_bit_identical(kMatrix, Path::Dense, /*fused=*/false,
+                                {831, 0, 2101922, 0, 288056, 0, 0,
+                                 3655.5699284761622, 3655.569928476159},
+                                {831, 0, 2101922, 0, 11357364, 11357364, 0,
+                                 5650.4592618094948, 5592.5372618094898});
 }
 
 TEST(WindowedExecution, ReplayBitIdenticalToResident) {
-  expect_windowed_bit_identical(kMatrix, Path::Replay, /*fused=*/false);
+  expect_windowed_bit_identical(kMatrix, Path::Replay, /*fused=*/false,
+                                {499, 0, 196836, 0, 810500, 0, 0,
+                                 2078.4310096092213, 2078.4310096092254},
+                                {499, 0, 196836, 0, 12167864, 11357364, 0,
+                                 4097.3250096092215, 3872.7033974550282});
 }
 
 TEST(WindowedExecution, ReplayFusedBitIdenticalToResident) {
-  expect_windowed_bit_identical(kMatrix, Path::Replay, /*fused=*/true);
+  expect_windowed_bit_identical(kMatrix, Path::Replay, /*fused=*/true,
+                                {8, 0, 208421, 8, 810500, 0, 0,
+                                 105.21019965228257, 105.21019965228258},
+                                {8, 0, 208421, 8, 1266956, 456456, 0,
+                                 185.28619965228259, 179.18841158321038});
 }
 
 TEST(WindowedExecution, TinyBudgetStillBitIdentical) {
