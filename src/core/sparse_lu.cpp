@@ -281,10 +281,13 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
   res.fill_nnz = sym.filled.nnz();
   res.symbolic_chunks = sym.num_chunks;
 
-  // ---- Levelization (§3.3).
+  // ---- Levelization (§3.3). One baseline for all three counters, so the
+  // cons_graph launch and any failed attempt count in each of them.
   WallTimer t_lvl;
   sim_before = dev.stats().sim_total_us();
   launches_before = launch_count(dev);
+  const std::uint64_t ops_before_lvl = dev.stats().kernel_ops;
+  const bool host_levelize = options_.mode == Mode::CpuBaseline;
   scheduling::DependencyGraph graph;
   scheduling::LevelSchedule schedule;
   {
@@ -292,17 +295,13 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
     const auto run_levelize = [&](int) {
       graph = scheduling::build_dependency_graph(sym.filled,
                                                  options_.dependency_rule);
-      if (options_.mode == Mode::CpuBaseline) {
+      if (host_levelize) {
         schedule = scheduling::levelize_sequential(graph);
-        res.levelize.ops = static_cast<std::uint64_t>(graph.n) +
-                           static_cast<std::uint64_t>(graph.num_edges());
-        // Previous work runs levelization single-threaded on the host.
-        res.levelize.sim_us = static_cast<double>(res.levelize.ops) /
-                              options_.host.ops_per_us_per_thread;
         return;
       }
-      // cons_graph (Algorithm 5 line 14): the dependency graph is built
-      // on-device from the filled pattern.
+      // cons_graph (Algorithm 5 line 14): the dependency graph — its
+      // successor and predecessor lists — is built on-device from the
+      // filled pattern.
       dev.launch({.name = "cons_graph",
                   .blocks = std::max<index_t>(1, (n + 255) / 256),
                   .threads_per_block = 256},
@@ -310,12 +309,10 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
                    const index_t lo = static_cast<index_t>(b) * 256;
                    const index_t hi = std::min(n, lo + 256);
                    ctx.add_ops(static_cast<std::uint64_t>(
-                       graph.adj_ptr[hi] - graph.adj_ptr[lo]));
+                       graph.adj_ptr[hi] - graph.adj_ptr[lo] +
+                       graph.pred_ptr[hi] - graph.pred_ptr[lo]));
                  });
-      const std::uint64_t ops_before_lvl = dev.stats().kernel_ops;
-      schedule = scheduling::levelize_gpu_dynamic(dev, graph);
-      res.levelize.ops = dev.stats().kernel_ops - ops_before_lvl;
-      res.levelize.sim_us = dev.stats().sim_total_us() - sim_before;
+      schedule = scheduling::levelize_sync_free(dev, graph);
     };
     // Levelization allocates nothing persistent, so one straight retry
     // covers transient (injected) faults before giving up.
@@ -326,6 +323,16 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
                       : "recovery.launch_retry"};
         });
     span_lvl.attr("levels", schedule.num_levels());
+  }
+  if (host_levelize) {
+    // Previous work runs levelization single-threaded on the host.
+    res.levelize.ops = static_cast<std::uint64_t>(graph.n) +
+                       static_cast<std::uint64_t>(graph.num_edges());
+    res.levelize.sim_us = static_cast<double>(res.levelize.ops) /
+                          options_.host.ops_per_us_per_thread;
+  } else {
+    res.levelize.ops = dev.stats().kernel_ops - ops_before_lvl;
+    res.levelize.sim_us = dev.stats().sim_total_us() - sim_before;
   }
   res.levelize.wall_ms = t_lvl.millis();
   res.levelize.launches = launch_count(dev) - launches_before;

@@ -43,14 +43,20 @@ class DeviceBuffer {
   /// cudaMemcpy H2D: charges transfer time on the device.
   void copy_from_host(std::span<const T> host) {
     E2ELU_CHECK(host.size() <= data_.size());
-    std::memcpy(data_.data(), host.data(), host.size() * sizeof(T));
+    // memcpy's pointers must be non-null even for 0 bytes, and an empty
+    // vector's data() may be null.
+    if (!host.empty()) {
+      std::memcpy(data_.data(), host.data(), host.size() * sizeof(T));
+    }
     device_->copy_h2d(host.size() * sizeof(T));
   }
 
   /// cudaMemcpy D2H.
   void copy_to_host(std::span<T> host) const {
     E2ELU_CHECK(host.size() <= data_.size());
-    std::memcpy(host.data(), data_.data(), host.size() * sizeof(T));
+    if (!host.empty()) {
+      std::memcpy(host.data(), data_.data(), host.size() * sizeof(T));
+    }
     device_->copy_d2h(host.size() * sizeof(T));
   }
 

@@ -310,7 +310,8 @@ class ExecutorFrame {
                 wait_cluster_predecessors(m_, s_, lo, j, ctx, wait);
               },
               [&] { work(p, j, ctx); });
-        });
+        },
+        "model.fusion");
     span.attr("chain_us", cost.chain_us);
     span.attr("charged_us", cost.charged_us);
     stats_.fused_levels += hi - lo;

@@ -5,6 +5,7 @@
 
 #include "gpusim/device_buffer.hpp"
 #include "matrix/convert.hpp"
+#include "scheduling/ready_flags.hpp"
 #include "support/check.hpp"
 #include "trace/trace.hpp"
 
@@ -107,6 +108,20 @@ DependencyGraph build_dependency_graph(const Csr& filled,
   }
   g.adj.resize(static_cast<std::size_t>(g.adj_ptr[n]));
   g.adj.shrink_to_fit();
+
+  // Predecessor lists, the sync-free levelizer's input: the transpose of
+  // the successor lists. Sources are visited in ascending order, so every
+  // list comes out sorted.
+  g.pred_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (index_t j : g.adj) ++g.pred_ptr[j + 1];
+  for (index_t v = 0; v < n; ++v) g.pred_ptr[v + 1] += g.pred_ptr[v];
+  g.pred.resize(g.adj.size());
+  std::vector<offset_t> cursor(g.pred_ptr.begin(), g.pred_ptr.end() - 1);
+  for (index_t i = 0; i < n; ++i) {
+    for (offset_t k = g.adj_ptr[i]; k < g.adj_ptr[i + 1]; ++k) {
+      g.pred[static_cast<std::size_t>(cursor[g.adj[k]]++)] = i;
+    }
+  }
   return g;
 }
 
@@ -288,6 +303,74 @@ LevelSchedule levelize_gpu_host_launched(gpusim::Device& device,
 LevelSchedule levelize_gpu_dynamic(gpusim::Device& device,
                                    const DependencyGraph& g) {
   return gpu_kahn(device, g, true);
+}
+
+LevelSchedule levelize_sync_free(gpusim::Device& dev,
+                                 std::span<const offset_t> ptr,
+                                 std::span<const index_t> idx,
+                                 ClaimOrder order, FusedCost* cost) {
+  E2ELU_CHECK_MSG(!ptr.empty(), "predecessor CSR needs n+1 row offsets");
+  const auto n = static_cast<index_t>(ptr.size() - 1);
+  const bool descending = order == ClaimOrder::Descending;
+  trace::Span span("levelize.sync_free", dev, {{"n", n}});
+  gpusim::DeviceBuffer<offset_t> d_ptr(dev, ptr);
+  gpusim::DeviceBuffer<index_t> d_idx(dev, idx);
+  gpusim::DeviceBuffer<index_t> d_level(dev, static_cast<std::size_t>(n));
+  ReadyFlags flags(static_cast<std::size_t>(n));
+  std::atomic<std::uint64_t> edges{0};
+
+  // Block b claims the b-th vertex in `order`, so every predecessor sits
+  // at a lower block index — the ready-flag protocol's deadlock-freedom
+  // condition. A warp scans one vertex's list, so lane use follows the
+  // mean list length.
+  const double mean_len =
+      n == 0 ? 0.0 : static_cast<double>(idx.size()) / n;
+  const FusedCost charged = flags.launch(
+      dev,
+      {.name = "levelize_sync_free",
+       .blocks = n,
+       .threads_per_block = 32,
+       .warp_efficiency = dev.spec().simt_efficiency(mean_len)},
+      [&](std::int64_t b, gpusim::KernelContext& ctx) {
+        const index_t v = descending ? n - 1 - static_cast<index_t>(b)
+                                     : static_cast<index_t>(b);
+        index_t level = 0;
+        std::uint64_t found = 0;
+        flags.run_block(
+            static_cast<std::size_t>(v), ctx,
+            [&](auto&& wait) {
+              for (offset_t k = d_ptr[v]; k < d_ptr[v + 1]; ++k) {
+                const index_t p = d_idx[k];
+                ctx.add_ops(1);
+                if (descending ? p > v : p < v) {
+                  wait(static_cast<std::size_t>(p));
+                  level = std::max(level, d_level[p] + 1);
+                  ++found;
+                }
+              }
+            },
+            [&] {
+              d_level[v] = level;
+              ctx.add_ops(1);
+            });
+        edges.fetch_add(found, std::memory_order_relaxed);
+      },
+      "model.levelize");
+
+  LevelSchedule s = pack_schedule(
+      std::vector<index_t>(d_level.data(), d_level.data() + n));
+  span.attr("edges", static_cast<std::int64_t>(edges.load()));
+  span.attr("levels", s.num_levels());
+  span.attr("chain_us", charged.chain_us);
+  span.attr("charged_us", charged.charged_us);
+  if (cost != nullptr) *cost = charged;
+  return s;
+}
+
+LevelSchedule levelize_sync_free(gpusim::Device& device,
+                                 const DependencyGraph& g, FusedCost* cost) {
+  return levelize_sync_free(device, g.pred_ptr, g.pred, ClaimOrder::Ascending,
+                            cost);
 }
 
 void validate_schedule(const DependencyGraph& g, const LevelSchedule& s) {

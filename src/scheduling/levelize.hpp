@@ -8,6 +8,15 @@
 // dynamic parallelism (Algorithm 5), eliminating both per-level host
 // synchronization and host-side kernel-launch overhead.
 //
+// The pipeline itself no longer runs Algorithm 5. Column order is already
+// topological (edges only go i -> j with i < j), so level(j) = 1 + the
+// largest level among j's predecessors can be computed in ONE launch:
+// blocks claim vertices in topological order and wait on their
+// predecessors' ready flags (levelize_sync_free, the protocol of
+// ready_flags.hpp; Liu et al.'s sync-free SpTRSV, Euro-Par 2016). It
+// yields exactly Kahn's levels. The Kahn variants stay as the §3.3
+// reproduction (bench/ext_levelize).
+//
 // Dependency rule: for columns i < j there is an edge i -> j when
 // As(i,j) != 0 (the U dependency the paper states in §2.2) or
 // As(j,i) != 0 (the L side, which subsumes GLU's "double-U" dependency:
@@ -16,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gpusim/device.hpp"
@@ -23,11 +33,19 @@
 
 namespace e2elu::scheduling {
 
-/// Column dependency graph in CSR adjacency (edges i -> j, i < j only).
+struct FusedCost;
+
+/// Column dependency graph in CSR adjacency, both directions. Edges go
+/// i -> j with i < j only, so ascending column order is topological. That
+/// holds for the column DAG; the row DAG of an upper triangular solve
+/// points the other way (row i reads x[j] for j > i), which is why
+/// levelize_sync_free takes its claim order explicitly.
 struct DependencyGraph {
   index_t n = 0;
-  std::vector<offset_t> adj_ptr;  ///< size n+1
-  std::vector<index_t> adj;       ///< sorted successors (> source)
+  std::vector<offset_t> adj_ptr;   ///< size n+1
+  std::vector<index_t> adj;        ///< sorted successors (> source)
+  std::vector<offset_t> pred_ptr;  ///< size n+1
+  std::vector<index_t> pred;       ///< sorted predecessors (< target)
   offset_t num_edges() const { return adj_ptr.empty() ? 0 : adj_ptr.back(); }
 };
 
@@ -49,7 +67,8 @@ enum class DependencyRule {
 };
 
 /// Builds the dependency graph from the filled pattern As (pattern-only
-/// CSR is fine).
+/// CSR is fine): the successor lists, and the predecessor lists as their
+/// transpose.
 DependencyGraph build_dependency_graph(
     const Csr& filled, DependencyRule rule = DependencyRule::Symmetrized);
 
@@ -78,9 +97,40 @@ LevelSchedule levelize_gpu_host_launched(gpusim::Device& device,
 
 /// GPU Kahn with dynamic parallelism (Algorithm 5): one host launch; the
 /// parent kernel spawns cons_queue/update child kernels on-device, so no
-/// host round-trips and child-launch overhead only.
+/// host round-trips and child-launch overhead only. This and the
+/// host-launched variant are the §3.3 reproduction; the pipeline
+/// levelizes with levelize_sync_free.
 LevelSchedule levelize_gpu_dynamic(gpusim::Device& device,
                                    const DependencyGraph& g);
+
+/// The order blocks of a sync-free levelization claim vertices in. It must
+/// be topological: every predecessor of a vertex is claimed before it.
+enum class ClaimOrder {
+  Ascending,   ///< the column DAG and the lower solve: preds have lower ids
+  Descending,  ///< the upper solve: row i's preds are rows j > i
+};
+
+/// Sync-free levelization: ONE launch, one block per vertex, claimed in
+/// `order`. Row v of the CSR (ptr, idx) lists v's predecessor candidates;
+/// entries not claimed before v (a diagonal, the other triangle) are
+/// skipped, so a triangular factor's own rows serve as-is. Each block
+/// waits on its predecessors' ready flags and writes level(v) = 1 + their
+/// largest level (0 with none) — Kahn's levels, so the schedule is
+/// identical to levelize_sequential's. Charged one op per entry scanned
+/// plus one per level written, at the warp efficiency of the mean list
+/// length; the launch's longest chain is recorded next to its charge as
+/// the model.levelize.{chain_us,charged_us} histograms and, when `cost`
+/// is non-null, returned there.
+LevelSchedule levelize_sync_free(gpusim::Device& device,
+                                 std::span<const offset_t> ptr,
+                                 std::span<const index_t> idx,
+                                 ClaimOrder order, FusedCost* cost = nullptr);
+
+/// The column DAG's sync-free levelization: ascending claims over
+/// g.pred_ptr / g.pred.
+LevelSchedule levelize_sync_free(gpusim::Device& device,
+                                 const DependencyGraph& g,
+                                 FusedCost* cost = nullptr);
 
 /// Validates a schedule: every column assigned, every edge goes to a
 /// strictly later level, levels partition [0,n). Throws on violation.

@@ -6,7 +6,8 @@ namespace e2elu::scheduling {
 
 FusedCost ReadyFlags::launch(gpusim::Device& dev,
                              const gpusim::LaunchConfig& cfg,
-                             const gpusim::KernelBody& body) {
+                             const gpusim::KernelBody& body,
+                             const std::string& model) {
   longest_.store(0, std::memory_order_relaxed);
   const double kernel_before = dev.stats().sim_kernel_us;
   dev.launch(cfg, body);
@@ -20,8 +21,8 @@ FusedCost ReadyFlags::launch(gpusim::Device& dev,
       block_rate;
   cost.charged_us = dev.stats().sim_kernel_us - kernel_before;
   auto& registry = trace::MetricsRegistry::global();
-  registry.histogram("model.fusion.chain_us").record(cost.chain_us);
-  registry.histogram("model.fusion.charged_us").record(cost.charged_us);
+  registry.histogram(model + ".chain_us").record(cost.chain_us);
+  registry.histogram(model + ".charged_us").record(cost.charged_us);
   return cost;
 }
 

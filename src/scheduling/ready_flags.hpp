@@ -1,5 +1,6 @@
 // The sync-free protocol every fused (multi-level) launch runs: numeric
-// clusters and triangular-solve clusters alike.
+// clusters, triangular-solve clusters, and the one-launch levelization
+// (levelize.hpp's levelize_sync_free) alike.
 //
 // A fused launch covers several consecutive levels; its blocks replace the
 // inter-level kernel boundary with per-item ready flags: a block first
@@ -7,11 +8,11 @@
 // then publishes its own flag. An item is whatever one block owns — a
 // factor column, a solve row, a (row, rhs) pair of a batched solve.
 //
-// Deadlock freedom: predecessors live on strictly earlier levels, i.e. at
-// strictly lower block indices of the same grid, and the ThreadPool claims
-// block ranges in ascending order — so the lowest unfinished block never
-// waits on unfinished work. On a single worker the blocks simply run in
-// order.
+// Deadlock freedom: predecessors live on strictly earlier levels (or, for
+// the levelization, come earlier in its claim order), i.e. at strictly
+// lower block indices of the same grid, and the ThreadPool claims block
+// ranges in ascending order — so the lowest unfinished block never waits
+// on unfinished work. On a single worker the blocks simply run in order.
 //
 // Abort protocol: a block that throws (zero pivot, singular diagonal,
 // injected fault) sets the shared failed flag plus its own ready flag
@@ -24,21 +25,25 @@
 // independent of thread scheduling. The longest chain of a launch, run at
 // one block's rate, is a lower bound on its kernel time that the fused
 // charge (total ops at the cluster-wide grid's occupancy) ignores —
-// launch() records both so the gap is measurable.
+// launch() records both so the gap is measurable. (A bound only for
+// blocks that work after their waits, like the solve's: ops a block
+// spends scanning before its last wait are counted as if they could not
+// overlap it.)
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "gpusim/device.hpp"
 
 namespace e2elu::scheduling {
 
-/// A fused launch's kernel time as charged (Device::launch: total ops at
-/// the fused grid's occupancy) next to its longest dependency chain run at
+/// A ready-flag launch's kernel time as charged (Device::launch: total ops
+/// at the grid's occupancy) next to its longest dependency chain run at
 /// one block's rate (gpu_ops_per_us / max_concurrent_blocks x warp
 /// efficiency). chain_us > charged_us means the charge is optimistic.
 struct FusedCost {
@@ -90,12 +95,14 @@ class ReadyFlags {
     ready_[item].store(1, std::memory_order_release);
   }
 
-  /// Issues `cfg` — a fused cluster whose blocks call run_block — on
-  /// `dev`, records the cost pair as the model.fusion.chain_us and
-  /// model.fusion.charged_us histograms, and returns it. Charged time is
-  /// exactly what Device::launch adds; nothing here changes it.
+  /// Runs `cfg` — a launch whose blocks call run_block — on `dev`,
+  /// records the cost pair as the `<model>.chain_us` and
+  /// `<model>.charged_us` histograms, and returns it. `model` is
+  /// "model.fusion" for numeric and solve clusters, "model.levelize" for
+  /// the levelization. Charged time is exactly what Device::launch adds;
+  /// nothing here changes it.
   FusedCost launch(gpusim::Device& dev, const gpusim::LaunchConfig& cfg,
-                   const gpusim::KernelBody& body);
+                   const gpusim::KernelBody& body, const std::string& model);
 
  private:
   std::unique_ptr<std::atomic<std::uint8_t>[]> ready_;

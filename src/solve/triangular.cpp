@@ -4,7 +4,6 @@
 #include <cmath>
 #include <optional>
 
-#include "matrix/convert.hpp"
 #include "scheduling/ready_flags.hpp"
 #include "support/check.hpp"
 #include "trace/trace.hpp"
@@ -12,27 +11,6 @@
 namespace e2elu::solve {
 
 namespace {
-
-/// Row-dependency graph of a triangular solve: edge j -> i whenever row
-/// i's substitution reads x[j] (an off-diagonal entry (i,j)). Built from
-/// the transpose of the strict off-diagonal part so each source's
-/// successor list comes out sorted.
-scheduling::DependencyGraph row_dependencies(const Csr& factor, bool lower) {
-  Csr strict(factor.n);
-  strict.col_idx.reserve(static_cast<std::size_t>(factor.nnz()));
-  for (index_t i = 0; i < factor.n; ++i) {
-    for (index_t j : factor.row_cols(i)) {
-      if (lower ? j < i : j > i) strict.col_idx.push_back(j);
-    }
-    strict.row_ptr[i + 1] = static_cast<offset_t>(strict.col_idx.size());
-  }
-  const Csr t = transpose(strict);
-  scheduling::DependencyGraph g;
-  g.n = factor.n;
-  g.adj_ptr = t.row_ptr;
-  g.adj = t.col_idx;
-  return g;
-}
 
 double vector_norm(std::span<const value_t> v) {
   double acc = 0;
@@ -48,8 +26,13 @@ TriangularSolver::TriangularSolver(gpusim::Device& device, const Csr& factor,
   validate(factor);
   E2ELU_CHECK_MSG(has_full_diagonal(factor),
                   "triangular factor is missing diagonal entries");
-  schedule_ = scheduling::levelize_gpu_dynamic(
-      device, row_dependencies(factor, lower));
+  // Row i's substitution reads x[j] for its strict entries (i,j), so the
+  // factor's own rows are the predecessor lists. The upper solve's edges
+  // point downward (j > i), so its blocks claim rows in descending order.
+  schedule_ = scheduling::levelize_sync_free(
+      device, factor.row_ptr, factor.col_idx,
+      lower ? scheduling::ClaimOrder::Ascending
+            : scheduling::ClaimOrder::Descending);
   // The numeric clusterer under its device-derived defaults: no solve
   // knob, the same width threshold and column cap numeric fusion uses.
   clusters_ = scheduling::build_cluster_schedule(schedule_, device.spec(),
@@ -152,7 +135,8 @@ void TriangularSolver::launch_levels(index_t lo, index_t hi,
               }
             },
             [&] { substitute(b, ctx); });
-      });
+      },
+      "model.fusion");
   span.attr("chain_us", cost.chain_us);
   span.attr("charged_us", cost.charged_us);
 }

@@ -7,8 +7,9 @@
 // application (circuit simulators solve thousands of times per
 // factorization). Triangular solves carry the same row-dependency
 // structure the paper levelizes for numeric factorization, so the same
-// GPU Kahn machinery schedules them: rows within a level are independent
-// and solve in parallel.
+// one-launch sync-free levelizer schedules them, reading each factor row
+// as its own predecessor list: rows within a level are independent and
+// solve in parallel.
 //
 // Circuit schedules are deep and narrow, so a kernel per level makes the
 // solve launch-bound. Each solver therefore clusters its levels once, at
@@ -60,7 +61,7 @@ struct SolveStreamStats {
 };
 
 /// A triangular factor prepared for repeated level-parallel solves: the
-/// per-row levels are computed once (on the device, via the Algorithm 5
+/// per-row levels are computed once (on the device, by the sync-free
 /// levelizer), clustered once, and reused for every right-hand side.
 class TriangularSolver {
  public:

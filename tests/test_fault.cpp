@@ -218,6 +218,34 @@ TEST(FaultRecovery, NumericLaunchFailureRetriesAndMatches) {
   expect_same_factors(res, reference);
 }
 
+TEST(FaultRecovery, LevelizeLaunchFailureRetriesAndMatchesBitForBit) {
+  // A lost sync-free levelization launch costs one straight retry; on one
+  // worker the recovered factors are memcmp-equal to a clean run's.
+  const Csr a = campaign_matrix();
+  ThreadPool pool(1);
+  Options opt = campaign_options();
+  opt.pool = &pool;
+  const FactorResult reference = SparseLU(opt).factorize(a);
+
+  auto& retries = trace::MetricsRegistry::global().counter(
+      "recovery.launch_retry");
+  const std::uint64_t retries_before = retries.value();
+  fault::ScopedPlan plan("launch=levelize@1");
+  const FactorResult res = SparseLU(opt).factorize(a);
+  EXPECT_EQ(fault::Injector::instance().events().size(), 1u);
+  EXPECT_EQ(res.recovery_retries, 1);
+  EXPECT_EQ(retries.value() - retries_before, 1u);
+  EXPECT_EQ(res.num_levels, reference.num_levels);
+  expect_same_factors(res, reference);
+  const auto same_bits = [](const std::vector<value_t>& x,
+                            const std::vector<value_t>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(value_t)) == 0;
+  };
+  EXPECT_TRUE(same_bits(res.l.values, reference.l.values));
+  EXPECT_TRUE(same_bits(res.u.values, reference.u.values));
+}
+
 TEST(FaultRecovery, TransientZeroPivotRetriesCleanly) {
   const Csr a = campaign_matrix();
   const Options opt = campaign_options();
