@@ -8,6 +8,7 @@
 #include "preprocess/parallel/parallel_preprocess.hpp"
 #include "support/check.hpp"
 #include "support/timer.hpp"
+#include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace e2elu {
@@ -135,9 +136,10 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
   // ---- Pre-processing (Figure 2, first box). Serial mode is the
   // paper's host-serial stage, modeled at a single host thread's
   // throughput; GpuParallel routes matching / minimum-degree / scaling
-  // through the device (preprocess/parallel/). The permutation
-  // application and diagonal patch stay host-side in both modes and are
-  // accounted as the preprocess remainder.
+  // through the device (preprocess/parallel/), and its permutes and
+  // diagonal patch through one-block-per-row gathers. Each permute is
+  // billed inside its sub-phase in GpuParallel and to the host-rate
+  // remainder in Serial; the diagonal patch is the remainder in both.
   const bool par_pre =
       options_.preprocess.mode == PreprocessMode::GpuParallel;
   const double host_thread_rate = options_.host.ops_per_us_per_thread;
@@ -145,9 +147,26 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
   Csr a = a_in;
   res.row_perm = identity_permutation(n);
   res.col_perm = identity_permutation(n);
-  std::uint64_t pre_other_ops = 0;
+  std::uint64_t pre_other_ops = 0;  // host-rate remainder (Serial)
+  PhaseReport pre_patch;            // device remainder (GpuParallel)
+  // The fill gate's per-row stage-1 counts of the final pattern, when the
+  // parallel ordering produced them and nothing changed that pattern
+  // since; symbolic then skips its own stage 1.
+  std::vector<index_t> stage1_counts;
   {
     TRACE_SPAN("preprocess", dev);
+    // a := a(row_perm, col_perm) — a device gather in GpuParallel, the
+    // host permute (billed to the remainder) in Serial.
+    const auto apply_permutation = [&](const Permutation& row_perm,
+                                       const Permutation& col_perm) {
+      if (par_pre) {
+        a = preprocess::parallel_permute(dev, a, row_perm, col_perm,
+                                         "pre.permute");
+      } else {
+        a = permute(a, row_perm, col_perm);
+        pre_other_ops += static_cast<std::uint64_t>(a.nnz());
+      }
+    };
     // Sub-phase accounting: serial steps report counted ops at the
     // single-thread host rate; parallel steps report device deltas.
     const auto run_subphase = [&](PhaseReport& report, auto&& body) {
@@ -177,9 +196,8 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
             par_pre ? preprocess::parallel_diagonal_matching(
                           dev, a, options_.preprocess)
                     : diagonal_matching(a, &ops);
-        a = permute(a, res.row_perm, q);
+        apply_permutation(res.row_perm, q);
         res.col_perm = q;
-        pre_other_ops += static_cast<std::uint64_t>(a.nnz());  // permute
       });
     }
     if (options_.ordering != Ordering::None) {
@@ -188,15 +206,16 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
         if (options_.ordering == Ordering::Rcm) {
           p = rcm_ordering(a, &ops);
         } else if (par_pre) {
-          p = preprocess::parallel_min_degree_ordering(dev, a,
-                                                       options_.preprocess);
+          MinDegreeStats st;
+          p = preprocess::parallel_min_degree_ordering(
+              dev, a, options_.preprocess, &st);
+          stage1_counts = std::move(st.fill_counts);
         } else {
           MinDegreeStats st;
           p = min_degree_ordering(a, options_.preprocess, &st);
           ops = st.ops;
         }
-        a = permute(a, p, p);
-        pre_other_ops += static_cast<std::uint64_t>(a.nnz());  // permute
+        apply_permutation(p, p);
         // a(i,j) = a_in(p[i], col_perm[p[j]]).
         Permutation composed(static_cast<std::size_t>(n));
         for (index_t k = 0; k < n; ++k) composed[k] = res.col_perm[p[k]];
@@ -205,20 +224,32 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
       });
     }
     if (options_.diag_patch.has_value()) {
-      patch_zero_diagonal(a, *options_.diag_patch);
-      pre_other_ops += static_cast<std::uint64_t>(a.nnz());
+      const offset_t nnz_before = a.nnz();
+      if (par_pre) {
+        run_subphase(pre_patch, [&](std::uint64_t&) {
+          preprocess::parallel_patch_zero_diagonal(dev, a,
+                                                   *options_.diag_patch);
+        });
+      } else {
+        patch_zero_diagonal(a, *options_.diag_patch);
+        pre_other_ops += static_cast<std::uint64_t>(a.nnz());
+      }
+      // An inserted diagonal changes the pattern the counts belong to.
+      if (a.nnz() != nnz_before) stage1_counts.clear();
     }
   }
   res.preprocess.wall_ms = t_pre.millis();
   res.preprocess.ops = res.preprocess_match.ops + res.preprocess_order.ops +
-                       res.preprocess_scale.ops + pre_other_ops;
-  res.preprocess.launches = res.preprocess_match.launches +
-                            res.preprocess_order.launches +
-                            res.preprocess_scale.launches;
+                       res.preprocess_scale.ops + pre_other_ops +
+                       pre_patch.ops;
+  res.preprocess.launches =
+      res.preprocess_match.launches + res.preprocess_order.launches +
+      res.preprocess_scale.launches + pre_patch.launches;
   res.preprocess.sim_us =
       res.preprocess_match.sim_us + res.preprocess_order.sim_us +
       res.preprocess_scale.sim_us +
-      static_cast<double>(pre_other_ops) / host_thread_rate;
+      static_cast<double>(pre_other_ops) / host_thread_rate +
+      pre_patch.sim_us;
 
   // ---- Symbolic factorization (§3.2).
   WallTimer t_sym;
@@ -226,26 +257,34 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
   std::uint64_t launches_before = launch_count(dev);
   symbolic::SymbolicResult sym;
   bool symbolic_on_device = options_.mode != Mode::CpuBaseline;
+  bool stage1_reused = false;
   {
     trace::Span span_sym("symbolic", dev, {{"mode", mode_name(options_.mode)}});
     const auto run_symbolic = [&](int attempt) {
+      // Only the out-of-core drivers, the re-plan included, take the fill
+      // gate's counts.
+      stage1_reused = !stage1_counts.empty() &&
+                      (attempt > 0 || options_.mode == Mode::OutOfCoreGpu ||
+                       options_.mode == Mode::OutOfCoreGpuDynamic);
       if (attempt > 0) {
         // Recovery: re-plan through the Algorithm 4 multipart planner
         // with an escalating part count. Every doubling bounds more
         // rows' queues, shrinking the per-row scratch the failed
         // attempt could not fit; the result pattern is identical.
         sym = symbolic::symbolic_out_of_core_multipart(
-            dev, a, static_cast<index_t>(1) << attempt, options_.symbolic);
+            dev, a, static_cast<index_t>(1) << attempt, options_.symbolic,
+            stage1_counts);
         symbolic_on_device = true;
         return;
       }
       switch (options_.mode) {
         case Mode::OutOfCoreGpu:
-          sym = symbolic::symbolic_out_of_core(dev, a, options_.symbolic);
+          sym = symbolic::symbolic_out_of_core(dev, a, options_.symbolic,
+                                               stage1_counts);
           break;
         case Mode::OutOfCoreGpuDynamic:
-          sym = symbolic::symbolic_out_of_core_dynamic(dev, a,
-                                                       options_.symbolic);
+          sym = symbolic::symbolic_out_of_core_dynamic(
+              dev, a, options_.symbolic, stage1_counts);
           break;
         case Mode::UnifiedMemoryGpu:
           sym = symbolic::symbolic_unified_memory(dev, a, /*prefetch=*/true,
@@ -274,6 +313,10 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
                               : options_.host.time_us(sym.ops);
     span_sym.attr("chunks", sym.num_chunks);
     span_sym.attr("fill_nnz", sym.filled.nnz());
+    span_sym.attr("stage1", stage1_reused ? "reused" : "counted");
+    trace::MetricsRegistry::global()
+        .counter("symbolic.stage1_reused")
+        .add(stage1_reused ? 1 : 0);
   }
   res.symbolic.wall_ms = t_sym.millis();
   res.symbolic.ops = sym.ops;

@@ -33,7 +33,6 @@
 
 #include "core/factor_error.hpp"
 #include "gpusim/device_buffer.hpp"
-#include "matrix/convert.hpp"
 #include "preprocess/parallel/parallel_preprocess.hpp"
 #include "support/check.hpp"
 #include "trace/trace.hpp"
@@ -60,8 +59,8 @@ Permutation parallel_diagonal_matching(gpusim::Device& dev, const Csr& a,
   if (n == 0) return {};
 
   // Device residency of the bipartite graph: the matrix and its
-  // transpose (the dispose kernel needs column -> rows adjacency).
-  const Csr at = transpose(a);
+  // transpose (the dispose kernel needs column -> rows adjacency). The
+  // matrix is uploaded; the transpose is built on the device from it.
   gpusim::DeviceBuffer<offset_t> d_rp(dev,
                                       std::span<const offset_t>(a.row_ptr));
   gpusim::DeviceBuffer<index_t> d_ci(
@@ -69,20 +68,10 @@ Permutation parallel_diagonal_matching(gpusim::Device& dev, const Csr& a,
   if (!a.col_idx.empty()) {
     d_ci.copy_from_host(std::span<const index_t>(a.col_idx));
   }
-  gpusim::DeviceBuffer<offset_t> d_tp(dev,
-                                      std::span<const offset_t>(at.row_ptr));
+  const Csr at = parallel_transpose(dev, a, "match.build_csc");
+  gpusim::DeviceBuffer<offset_t> d_tp(dev, at.row_ptr.size());
   gpusim::DeviceBuffer<index_t> d_ti(
       dev, std::max<std::size_t>(std::size_t{1}, at.col_idx.size()));
-  if (!at.col_idx.empty()) {
-    d_ti.copy_from_host(std::span<const index_t>(at.col_idx));
-  }
-  // Transpose construction is a counting sort — charge it as one kernel.
-  dev.launch({.name = "match.build_csc", .blocks = blocks_for(n)},
-             [&](std::int64_t b, gpusim::KernelContext& ctx) {
-               if (b == 0) {
-                 ctx.add_ops(2 * static_cast<std::uint64_t>(a.nnz()));
-               }
-             });
 
   const bool with_values = !a.values.empty();
   const double avg_len =

@@ -6,25 +6,38 @@
 // reduction (min degree, live-entry count) is commutative, which is the
 // whole determinism argument (DESIGN.md 6i).
 //
-// Kernels, one launch per step:
-//   amd.compress_degree  256 vertices per block, once before the first
+// Kernels, one launch per step, each grid sized to its work (after
+// ord.symmetrize builds A + A^T, the graph the rounds eliminate on):
+//   amd.compress_degree  one block per live vertex, once before the first
 //                 round and again after every round: drop dead and merged
 //                 entries, sum the weighted degree of the rest, reduce the
 //                 min degree and the live-entry count
-//   amd.select    candidates (deg <= (1+slack)*dmin) scan their distance-2
-//                 neighborhood; smallest (deg, hash, id) priority wins
+//   amd.candidates one block per live vertex: flag the round's candidate
+//                 window, deg <= (1+slack)*dmin
+//   amd.select    one block per (candidate v, neighbour u) pair: the pair
+//                 loses if u, or a w != v in adj[u], is a candidate of
+//                 better (deg, hash, id) priority; a candidate wins iff
+//                 none of its pairs lost
 //   amd.eliminate one block per (winner, clique member): fold the pivot's
 //                 clique into the member's list and hash the member's
 //                 closed neighborhood
 //   amd.supernode one block per winner: sort its clique's hashes, verify
 //                 equal ones exactly, merge indistinguishable vertices
+// The live-list compaction and the pair-offset scan run on the host the
+// way clique_ptr is built, at one op per scanned entry, spread evenly
+// over the blocks of the launch that consumes them; amd.candidates is the
+// candidate compaction's charge.
 //
 // After the rounds, ord.fillgate counts the exact fill of the AMD result
-// and of an RCM candidate with symbolic's stage-1 pass and keeps the
-// better ordering — the fill-quality gate of DESIGN.md 6i.
+// and of an RCM candidate with symbolic's stage-1 pass (each candidate
+// permuted by an ord.gate_permute gather) and keeps the better ordering —
+// the fill-quality gate of DESIGN.md 6i. The winner's per-row counts are
+// returned, so symbolic can skip its own stage 1 on the same pattern.
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "gpusim/device_buffer.hpp"
@@ -39,6 +52,11 @@ namespace e2elu::preprocess {
 
 namespace {
 
+constexpr int kThreadsPerBlock = 256;
+
+/// Vertices per block of the two launches that bill serial RCM work
+/// (ord.rcm_candidate, amd.rcm_fallback); every other launch runs one
+/// block per unit of work.
 constexpr std::int64_t kVertsPerBlock = 256;
 
 /// Multiple-elimination window: a round's pivot candidates are the
@@ -50,6 +68,13 @@ constexpr double kDegreeSlack = 0.10;
 std::int64_t blocks_for(std::int64_t count) {
   return std::max<std::int64_t>(1, (count + kVertsPerBlock - 1) /
                                        kVertsPerBlock);
+}
+
+/// Block b's share of `total` ops spread evenly over `blocks` blocks.
+std::uint64_t share(std::uint64_t total, std::int64_t b, std::int64_t blocks) {
+  const auto k = static_cast<std::uint64_t>(b);
+  const auto m = static_cast<std::uint64_t>(blocks);
+  return total * (k + 1) / m - total * k / m;
 }
 
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -85,7 +110,6 @@ Permutation amd_rounds(gpusim::Device& dev, const SymGraph& g, index_t n,
   }
   std::vector<std::vector<index_t>> members(n);
   std::vector<char> alive(n, 1);
-  std::vector<char> winner(n, 0);
   std::vector<index_t> deg(n, 0);
   // Supernode weights: weight[v] = 1 + |members(v)|. Degrees are
   // weighted sums over quotient neighbors (AMD's external degree) — a
@@ -94,7 +118,10 @@ Permutation amd_rounds(gpusim::Device& dev, const SymGraph& g, index_t n,
   // supernode-rich graphs (~30% on the pre2 stand-in).
   std::vector<index_t> weight(n, 1);
 
-  const std::int64_t vert_blocks = blocks_for(n);
+  // amd.compress_degree's grid: the live vertices in id order, compacted
+  // from the previous list on every pass.
+  std::vector<index_t> live_verts(static_cast<std::size_t>(n));
+  std::iota(live_verts.begin(), live_verts.end(), 0);
 
   std::size_t live = 0;
   std::size_t peak = g.adj.size();
@@ -107,6 +134,7 @@ Permutation amd_rounds(gpusim::Device& dev, const SymGraph& g, index_t n,
   std::vector<bool> ordered(n, false);
   index_t fallback_at = -1;
   index_t rounds = 0;
+  std::uint64_t select_pairs = 0;
   index_t merged_total = 0;
   index_t alive_count = n;
   index_t dmin = 0;
@@ -126,46 +154,35 @@ Permutation amd_rounds(gpusim::Device& dev, const SymGraph& g, index_t n,
 
   // --- amd.compress_degree: the round's one pass over adjacency --------
   const auto compress_degree = [&] {
-    std::vector<index_t> block_min(static_cast<std::size_t>(vert_blocks),
-                                   std::numeric_limits<index_t>::max());
-    std::vector<std::size_t> block_live(static_cast<std::size_t>(vert_blocks),
-                                        0);
+    // Called only while a vertex is alive, so the grid is never empty.
+    const std::uint64_t scanned = live_verts.size();
+    std::erase_if(live_verts, [&](index_t v) { return !alive[v]; });
+    const auto blocks = static_cast<std::int64_t>(live_verts.size());
+    std::vector<std::size_t> kept(live_verts.size(), 0);
     dev.launch({.name = "amd.compress_degree",
-                .blocks = vert_blocks,
-                .threads_per_block = static_cast<int>(kVertsPerBlock),
+                .blocks = blocks,
+                .threads_per_block = kThreadsPerBlock,
                 .warp_efficiency = warp_eff},
                [&](std::int64_t b, gpusim::KernelContext& ctx) {
-                 const index_t lo = static_cast<index_t>(b * kVertsPerBlock);
-                 const index_t hi =
-                     std::min<index_t>(n, lo + static_cast<index_t>(
-                                                   kVertsPerBlock));
-                 index_t local_min = std::numeric_limits<index_t>::max();
-                 std::uint64_t work = 0;
-                 std::size_t kept = 0;
-                 for (index_t v = lo; v < hi; ++v) {
-                   if (!alive[v]) continue;
-                   auto& av = adj[v];
-                   work += av.size();
-                   std::size_t w = 0;
-                   index_t d = 0;
-                   for (index_t u : av) {
-                     if (!alive[u]) continue;
-                     av[w++] = u;
-                     d += weight[u];
-                   }
-                   av.resize(w);
-                   kept += w;
-                   deg[v] = d;
-                   local_min = std::min(local_min, d);
+                 const index_t v = live_verts[static_cast<std::size_t>(b)];
+                 auto& av = adj[v];
+                 const std::uint64_t work = share(scanned, b, blocks) +
+                                            av.size();
+                 std::size_t w = 0;
+                 index_t d = 0;
+                 for (index_t u : av) {
+                   if (!alive[u]) continue;
+                   av[w++] = u;
+                   d += weight[u];
                  }
-                 block_min[static_cast<std::size_t>(b)] = local_min;
-                 block_live[static_cast<std::size_t>(b)] = kept;
-                 ctx.add_ops(work + static_cast<std::uint64_t>(hi - lo));
+                 av.resize(w);
+                 kept[static_cast<std::size_t>(b)] = w;
+                 deg[v] = d;
+                 ctx.add_ops(work);
                });
     dmin = std::numeric_limits<index_t>::max();
-    for (index_t m : block_min) dmin = std::min(dmin, m);  // commutative
-    live = 0;
-    for (std::size_t k : block_live) live += k;  // commutative
+    for (index_t v : live_verts) dmin = std::min(dmin, deg[v]);  // commutative
+    live = std::accumulate(kept.begin(), kept.end(), std::size_t{0});
     peak = std::max(peak, live);
   };
 
@@ -181,45 +198,67 @@ Permutation amd_rounds(gpusim::Device& dev, const SymGraph& g, index_t n,
         (1.0 + kDegreeSlack) * static_cast<double>(dmin));
     auto is_candidate = [&](index_t v) { return alive[v] && deg[v] <= thresh; };
 
-    // --- amd.select: distance-2 priority contest -----------------------
-    dev.launch({.name = "amd.select",
-                .blocks = vert_blocks,
-                .threads_per_block = static_cast<int>(kVertsPerBlock),
-                .warp_efficiency = warp_eff},
+    // --- amd.candidates: one block per live vertex flags the window ----
+    std::vector<char> in_window(live_verts.size(), 0);
+    dev.launch({.name = "amd.candidates",
+                .blocks = static_cast<std::int64_t>(live_verts.size()),
+                .threads_per_block = kThreadsPerBlock},
                [&](std::int64_t b, gpusim::KernelContext& ctx) {
-                 const index_t lo = static_cast<index_t>(b * kVertsPerBlock);
-                 const index_t hi =
-                     std::min<index_t>(n, lo + static_cast<index_t>(
-                                                   kVertsPerBlock));
-                 std::uint64_t scanned = 0;
-                 for (index_t v = lo; v < hi; ++v) {
-                   winner[v] = 0;
-                   if (!is_candidate(v)) continue;
-                   bool win = true;
-                   for (index_t u : adj[v]) {
-                     ++scanned;
-                     if (is_candidate(u) && prio_less(u, v)) {
-                       win = false;
-                       break;
-                     }
-                     for (index_t w : adj[u]) {
-                       ++scanned;
-                       if (w != v && is_candidate(w) && prio_less(w, v)) {
-                         win = false;
-                         break;
-                       }
-                     }
-                     if (!win) break;
-                   }
-                   winner[v] = win ? 1 : 0;
-                 }
-                 ctx.add_ops(scanned + static_cast<std::uint64_t>(hi - lo));
+                 const auto k = static_cast<std::size_t>(b);
+                 in_window[k] = deg[live_verts[k]] <= thresh ? 1 : 0;
+                 ctx.add_ops(1);
                });
 
-    // Winners in id order: deterministic because the winner flags are.
+    // --- amd.select: distance-2 priority contest -----------------------
+    // Candidate c's (c, adj[c][k]) pairs are blocks [pair_ptr[c],
+    // pair_ptr[c + 1]). A block reads no other block's result, so it
+    // stops early only on its own loss; losses meet in `lost`, an
+    // order-independent OR.
+    std::vector<index_t> cands;
+    for (std::size_t k = 0; k < live_verts.size(); ++k) {
+      if (in_window[k]) cands.push_back(live_verts[k]);
+    }
+    std::vector<std::size_t> pair_ptr(cands.size() + 1, 0);
+    for (std::size_t c = 0; c < cands.size(); ++c) {
+      pair_ptr[c + 1] = pair_ptr[c] + adj[cands[c]].size();
+    }
+    const std::uint64_t scanned = cands.size();
+    const auto pairs = static_cast<std::int64_t>(pair_ptr.back());
+    const std::int64_t select_blocks = std::max<std::int64_t>(1, pairs);
+    select_pairs += static_cast<std::uint64_t>(pairs);
+    std::vector<std::atomic<std::uint8_t>> lost(cands.size());
+    dev.launch({.name = "amd.select",
+                .blocks = select_blocks,
+                .threads_per_block = kThreadsPerBlock,
+                .warp_efficiency = warp_eff},
+               [&](std::int64_t b, gpusim::KernelContext& ctx) {
+                 std::uint64_t work = share(scanned, b, select_blocks);
+                 if (b < pairs) {
+                   const auto pair = static_cast<std::size_t>(b);
+                   const auto c = static_cast<std::size_t>(
+                       std::upper_bound(pair_ptr.begin(), pair_ptr.end(),
+                                        pair) -
+                       pair_ptr.begin() - 1);
+                   const index_t v = cands[c];
+                   const index_t u = adj[v][pair - pair_ptr[c]];
+                   ++work;
+                   bool loss = is_candidate(u) && prio_less(u, v);
+                   for (auto w = adj[u].begin(); !loss && w != adj[u].end();
+                        ++w) {
+                     ++work;
+                     loss = *w != v && is_candidate(*w) && prio_less(*w, v);
+                   }
+                   if (loss) lost[c].store(1, std::memory_order_relaxed);
+                 }
+                 ctx.add_ops(work);
+               });
+
+    // Winners in id order: deterministic because the loss flags are.
     std::vector<index_t> winners;
-    for (index_t v = 0; v < n; ++v) {
-      if (winner[v]) winners.push_back(v);
+    for (std::size_t c = 0; c < cands.size(); ++c) {
+      if (lost[c].load(std::memory_order_relaxed) == 0) {
+        winners.push_back(cands[c]);
+      }
     }
     E2ELU_CHECK_MSG(!winners.empty(),
                     "parallel AMD round produced no winner — the global "
@@ -249,7 +288,7 @@ Permutation amd_rounds(gpusim::Device& dev, const SymGraph& g, index_t n,
     dev.launch(
         {.name = "amd.eliminate",
          .blocks = static_cast<std::int64_t>(clique_ptr.back()),
-         .threads_per_block = static_cast<int>(kVertsPerBlock),
+         .threads_per_block = kThreadsPerBlock,
          .warp_efficiency = warp_eff},
         [&](std::int64_t b, gpusim::KernelContext& ctx) {
           const auto pair = static_cast<std::size_t>(b);
@@ -297,7 +336,7 @@ Permutation amd_rounds(gpusim::Device& dev, const SymGraph& g, index_t n,
     dev.launch(
         {.name = "amd.supernode",
          .blocks = static_cast<std::int64_t>(winners.size()),
-         .threads_per_block = static_cast<int>(kVertsPerBlock),
+         .threads_per_block = kThreadsPerBlock,
          .warp_efficiency = warp_eff},
         [&](std::int64_t b, gpusim::KernelContext& ctx) {
           const auto w = static_cast<std::size_t>(b);
@@ -375,7 +414,7 @@ Permutation amd_rounds(gpusim::Device& dev, const SymGraph& g, index_t n,
     std::uint64_t tail_ops = 0;
     const Permutation tail = rcm_on_graph(g, n, ordered, tail_ops);
     dev.launch({.name = "amd.rcm_fallback",
-                .blocks = vert_blocks,
+                .blocks = blocks_for(n),
                 .threads_per_block = static_cast<int>(kVertsPerBlock),
                 .warp_efficiency = warp_eff},
                [&](std::int64_t b, gpusim::KernelContext& ctx) {
@@ -388,6 +427,7 @@ Permutation amd_rounds(gpusim::Device& dev, const SymGraph& g, index_t n,
   st.peak_adjacency = peak;
   st.rcm_fallback_at = fallback_at;
   st.rounds = rounds;
+  st.select_pairs = select_pairs;
   st.supernodes_merged = merged_total;
   return order;
 }
@@ -403,12 +443,14 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
   if (n == 0) return {};
 
   const gpusim::DeviceStats base = dev.snapshot();
-  const SymGraph g = symmetrize(a);
+  const SymGraph g = parallel_symmetrize(dev, a);
   const double avg_deg =
       static_cast<double>(g.adj.size()) / std::max<index_t>(n, 1);
   const double warp_eff = dev.spec().simt_efficiency(std::max(avg_deg, 1.0));
   MinDegreeStats st;
   Permutation order = amd_rounds(dev, g, n, opt, warp_eff, st);
+  span.attr("rounds", st.rounds);
+  span.attr("select_pairs", st.select_pairs);
 
   // --- ord.fillgate: exact fill-quality gate over two candidates -------
   // The rounds trade the serial oracle's one-pivot-at-a-time re-pick for
@@ -418,6 +460,7 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
   // build the RCM candidate and keep whichever ordering's exact fill is
   // smaller (ties prefer AMD). Each count is symbolic's stage-1 pass on
   // the permuted pattern, and both are deterministic, so the pick is too.
+  const double gate_start_us = dev.stats().sim_total_us();
   std::uint64_t rcm_ops = 0;
   Permutation rcm =
       rcm_on_graph(g, n, std::vector<bool>(static_cast<std::size_t>(n), false),
@@ -431,14 +474,21 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
              });
   Csr pattern = a;
   pattern.values.clear();
-  const auto gate_fill = [&](const Permutation& p) {
-    return symbolic::count_fill_out_of_core(dev, permute(pattern, p, p),
-                                            "ord.fillgate");
+  const auto gate_fill = [&](const Permutation& p,
+                             std::vector<index_t>& counts) {
+    return symbolic::count_fill_out_of_core(
+        dev, parallel_permute(dev, pattern, p, p, "ord.gate_permute"),
+        "ord.fillgate", &counts);
   };
-  st.gate_fill_amd = gate_fill(order);
-  st.gate_fill_rcm = gate_fill(rcm);
+  std::vector<index_t> rcm_counts;
+  st.gate_fill_amd = gate_fill(order, st.fill_counts);
+  st.gate_fill_rcm = gate_fill(rcm, rcm_counts);
   const bool pick_rcm = st.gate_fill_rcm < st.gate_fill_amd;
-  if (pick_rcm) order = std::move(rcm);
+  if (pick_rcm) {
+    order = std::move(rcm);
+    st.fill_counts = std::move(rcm_counts);
+  }
+  st.gate_sim_us = dev.stats().sim_total_us() - gate_start_us;
   span.attr("fill_amd", st.gate_fill_amd);
   span.attr("fill_rcm", st.gate_fill_rcm);
   span.attr("pick", pick_rcm ? "rcm" : "amd");
@@ -447,7 +497,7 @@ Permutation parallel_min_degree_ordering(gpusim::Device& dev, const Csr& a,
       .add(pick_rcm ? 1 : 0);
 
   st.ops = dev.stats().kernel_ops - base.kernel_ops;
-  if (stats) *stats = st;
+  if (stats) *stats = std::move(st);
   return order;
 }
 

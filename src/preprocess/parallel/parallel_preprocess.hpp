@@ -21,6 +21,12 @@
 //   * parallel_equilibrate — row/col max-reduction and scaling kernels,
 //     bit-identical to the serial equilibrate().
 //
+// Between and inside those phases the matrix moves through one-block-
+// per-row kernels (parallel_permute, parallel_transpose,
+// parallel_symmetrize, parallel_patch_zero_diagonal), so no step of
+// GpuParallel preprocessing apart from RCM is uncharged or billed at
+// host rate.
+//
 // Determinism rule (DESIGN.md 6i): every cross-block interaction is
 // either write-disjoint (guaranteed by distance-2 independence / one
 // block per owner) or a commutative idempotent reduction (min/max), so a
@@ -30,6 +36,7 @@
 
 #include "gpusim/device.hpp"
 #include "preprocess/preprocess.hpp"
+#include "preprocess/sym_graph.hpp"
 
 namespace e2elu::preprocess {
 
@@ -53,5 +60,26 @@ Permutation parallel_diagonal_matching(gpusim::Device& dev, const Csr& a,
 /// Row/column equilibration on `dev`; bit-identical scales and values to
 /// the serial equilibrate() (each element sees the same two multiplies).
 Scaling parallel_equilibrate(gpusim::Device& dev, Csr& a);
+
+/// B(i,j) = A(row_perm[i], col_perm[j]) on `dev`, one gather block per
+/// output row charging that row's length; the same matrix permute()
+/// returns. `kernel` names the launch.
+Csr parallel_permute(gpusim::Device& dev, const Csr& a,
+                     const Permutation& row_perm, const Permutation& col_perm,
+                     const char* kernel);
+
+/// transpose(a), billed as a device counting sort: one block per row of
+/// A, two ops per entry.
+Csr parallel_transpose(gpusim::Device& dev, const Csr& a, const char* kernel);
+
+/// symmetrize(a), the graph the orderings eliminate on, billed as one
+/// block per row of A at two ops per entry (the serial orderings' charge).
+SymGraph parallel_symmetrize(gpusim::Device& dev, const Csr& a);
+
+/// patch_zero_diagonal(a, value), billed as one block per row searching
+/// its diagonal, plus one block per rebuilt row when diagonals had to be
+/// inserted. Same result and return value as the host version.
+index_t parallel_patch_zero_diagonal(gpusim::Device& dev, Csr& a,
+                                     value_t value = 1000.0);
 
 }  // namespace e2elu::preprocess

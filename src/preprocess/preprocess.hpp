@@ -67,12 +67,22 @@ struct MinDegreeStats {
   std::uint64_t ops = 0;
   /// Independent-set rounds (parallel mode only).
   index_t rounds = 0;
+  /// (candidate, neighbour) pairs amd.select ran, summed over the rounds
+  /// (parallel mode only).
+  std::uint64_t select_pairs = 0;
   /// Vertices absorbed into supernodes (parallel mode only).
   index_t supernodes_merged = 0;
   /// The fill gate's exact nnz(L+U) of the AMD result and of the RCM
   /// candidate (parallel mode only); the smaller one wins, ties to AMD.
   offset_t gate_fill_amd = 0;
   offset_t gate_fill_rcm = 0;
+  /// The winner's per-row nnz(L+U) counts: symbolic stage 1's output for
+  /// A symmetrically permuted by the returned ordering (parallel mode
+  /// only). SparseLU hands them to the out-of-core symbolic drivers.
+  std::vector<index_t> fill_counts;
+  /// Simulated time of the fill gate: the RCM candidate, both gathers
+  /// and both counts (parallel mode only).
+  double gate_sim_us = 0;
 };
 
 /// True iff p is a bijection on [0, n).

@@ -13,7 +13,9 @@
 // thread blocks — are larger.
 //
 // count_fill_out_of_core runs Algorithm 3's stage 1 alone: it is how the
-// parallel ordering's fill gate sizes nnz(L+U) of its candidates.
+// parallel ordering's fill gate sizes nnz(L+U) of its candidates. The
+// drivers accept such counts back: handed the stage-1 counts of exactly
+// their input pattern, they upload them and skip symbolic_1.
 
 #include <algorithm>
 #include <cmath>
@@ -158,8 +160,16 @@ PassRunner all_rows_runner(gpusim::Device& dev, const Csr& a) {
   };
 }
 
+void check_stage1_counts(const Csr& a, std::span<const index_t> counts) {
+  E2ELU_CHECK_MSG(
+      counts.empty() || counts.size() == static_cast<std::size_t>(a.n),
+      "handed " << counts.size() << " stage-1 counts for a matrix of " << a.n
+                << " rows");
+}
+
 SymbolicResult two_stage_symbolic(gpusim::Device& dev, const Csr& a,
-                                  const PassRunner& run_pass) {
+                                  const PassRunner& run_pass,
+                                  std::span<const index_t> stage1_counts) {
   WallTimer timer;
   const index_t n = a.n;
   const std::uint64_t ops_before = dev.stats().kernel_ops;
@@ -167,9 +177,13 @@ SymbolicResult two_stage_symbolic(gpusim::Device& dev, const Csr& a,
   SymbolicResult res;
   res.fill_count.assign(n, 0);
 
-  // Stage 1 (symbolic_1): count fill per row.
+  // Stage 1 (symbolic_1): count fill per row, unless the counts were
+  // handed over — then they only travel to the device.
   gpusim::DeviceBuffer<index_t> d_fill_count(dev, static_cast<std::size_t>(n));
-  {
+  const bool reuse = !stage1_counts.empty();
+  if (reuse) {
+    d_fill_count.copy_from_host(stage1_counts);
+  } else {
     TRACE_SPAN("symbolic.stage1", dev, {{"rows", n}});
     const PassResult pr = count_stage(a, "symbolic_1", run_pass, d_fill_count);
     res.chunk_rows = pr.chunk_rows;
@@ -205,21 +219,30 @@ SymbolicResult two_stage_symbolic(gpusim::Device& dev, const Csr& a,
   // the CSC conversion and the numeric binary search see sorted indices.
   {
     TRACE_SPAN("symbolic.stage2", dev, {{"rows", n}, {"fill_nnz", total}});
-    run_pass("symbolic_2", [&](index_t row, PlainWorkspace& ws,
-                               gpusim::KernelContext& ctx) {
+    const PassResult pr = run_pass("symbolic_2", [&](index_t row,
+                                                     PlainWorkspace& ws,
+                                                     gpusim::KernelContext&
+                                                         ctx) {
       const offset_t seg_begin = res.filled.row_ptr[row];
+      const offset_t seg_end = res.filled.row_ptr[row + 1];
       offset_t w = seg_begin;
       const RowStats st = fill2_row(a, row, ws, [&](index_t col) {
-        d_as_cols[static_cast<std::size_t>(w++)] = col;
+        // A count that diverged stays inside its own segment until the
+        // check below reports it.
+        if (w < seg_end) d_as_cols[static_cast<std::size_t>(w)] = col;
+        ++w;
       });
       if (st.overflow) return true;
-      E2ELU_CHECK_MSG(w == res.filled.row_ptr[row + 1],
-                      "stage-2 fill count for row "
-                          << row << " diverged from stage 1");
+      E2ELU_CHECK_MSG(w == seg_end, "stage-2 fill count for row "
+                                        << row << " diverged from stage 1");
       std::sort(d_as_cols.data() + seg_begin, d_as_cols.data() + w);
       ctx.add_ops(st.ops + sort_ops(static_cast<std::size_t>(w - seg_begin)));
       return false;
     });
+    if (reuse) {
+      res.chunk_rows = pr.chunk_rows;
+      res.num_chunks = pr.num_chunks;
+    }
   }
 
   res.filled.col_idx.assign(d_as_cols.data(), d_as_cols.data() + total);
@@ -231,35 +254,45 @@ SymbolicResult two_stage_symbolic(gpusim::Device& dev, const Csr& a,
 }  // namespace
 
 SymbolicResult symbolic_out_of_core(gpusim::Device& dev, const Csr& a,
-                                    const SymbolicOptions& /*opt*/) {
+                                    const SymbolicOptions& /*opt*/,
+                                    std::span<const index_t> stage1_counts) {
+  check_stage1_counts(a, stage1_counts);
   // Keep the input matrix resident for the whole run (it fits: nnz-sized;
   // it is the O(n)-per-row scratch that does not).
   gpusim::DeviceBuffer<offset_t> d_row_ptr(dev, std::span(a.row_ptr));
   gpusim::DeviceBuffer<index_t> d_col_idx(dev, std::span(a.col_idx));
-  return two_stage_symbolic(dev, a, all_rows_runner(dev, a));
+  return two_stage_symbolic(dev, a, all_rows_runner(dev, a), stage1_counts);
 }
 
 offset_t count_fill_out_of_core(gpusim::Device& dev, const Csr& a,
-                                const char* kernel) {
+                                const char* kernel,
+                                std::vector<index_t>* row_counts) {
   gpusim::DeviceBuffer<offset_t> d_row_ptr(dev, std::span(a.row_ptr));
   gpusim::DeviceBuffer<index_t> d_col_idx(dev, std::span(a.col_idx));
   gpusim::DeviceBuffer<index_t> d_fill_count(dev,
                                               static_cast<std::size_t>(a.n));
   count_stage(a, kernel, all_rows_runner(dev, a), d_fill_count);
-  return std::accumulate(d_fill_count.data(), d_fill_count.data() + a.n,
-                         offset_t{0});
+  std::vector<index_t> counts(static_cast<std::size_t>(a.n));
+  d_fill_count.copy_to_host(counts);
+  const offset_t total =
+      std::accumulate(counts.begin(), counts.end(), offset_t{0});
+  if (row_counts != nullptr) *row_counts = std::move(counts);
+  return total;
 }
 
-SymbolicResult symbolic_out_of_core_dynamic(gpusim::Device& dev, const Csr& a,
-                                            const SymbolicOptions& opt) {
-  return symbolic_out_of_core_multipart(dev, a, /*parts=*/2, opt);
+SymbolicResult symbolic_out_of_core_dynamic(
+    gpusim::Device& dev, const Csr& a, const SymbolicOptions& opt,
+    std::span<const index_t> stage1_counts) {
+  return symbolic_out_of_core_multipart(dev, a, /*parts=*/2, opt,
+                                        stage1_counts);
 }
 
-SymbolicResult symbolic_out_of_core_multipart(gpusim::Device& dev,
-                                              const Csr& a, index_t parts,
-                                              const SymbolicOptions& opt) {
+SymbolicResult symbolic_out_of_core_multipart(
+    gpusim::Device& dev, const Csr& a, index_t parts,
+    const SymbolicOptions& opt, std::span<const index_t> stage1_counts) {
   E2ELU_CHECK_MSG(parts >= 1, "need at least one partition");
-  if (parts == 1) return symbolic_out_of_core(dev, a, opt);
+  check_stage1_counts(a, stage1_counts);
+  if (parts == 1) return symbolic_out_of_core(dev, a, opt, stage1_counts);
 
   const index_t n = a.n;
   gpusim::DeviceBuffer<offset_t> d_row_ptr(dev, std::span(a.row_ptr));
@@ -360,7 +393,8 @@ SymbolicResult symbolic_out_of_core_multipart(gpusim::Device& dev,
                          name, body, nullptr);
         total.num_chunks += pr_tail.num_chunks;
         return total;
-      });
+      },
+      stage1_counts);
   return res;
 }
 

@@ -21,9 +21,16 @@
 //   count_fill_out_of_core
 //                        Algorithm 3's stage 1 alone: nnz(L+U) without
 //                        the pattern (the parallel ordering's fill gate).
+//
+// The three out-of-core drivers take an optional span of stage-1 counts
+// (count_fill_out_of_core's per-row output for exactly their input
+// pattern): they upload it and skip symbolic_1. Stage 2 still checks each
+// row against it. The unified-memory and CPU drivers count for
+// themselves.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gpusim/device.hpp"
@@ -61,15 +68,17 @@ SymbolicResult symbolic_reference(const Csr& a);
 SymbolicResult symbolic_cpu(const Csr& a);
 
 /// Algorithm 3. Throws OutOfDeviceMemory only if even a single row's
-/// scratch plus the matrix cannot fit.
-SymbolicResult symbolic_out_of_core(gpusim::Device& device, const Csr& a,
-                                    const SymbolicOptions& opt = {});
+/// scratch plus the matrix cannot fit. Non-empty `stage1_counts` (one per
+/// row, else a check fails) replace symbolic_1 with one upload.
+SymbolicResult symbolic_out_of_core(
+    gpusim::Device& device, const Csr& a, const SymbolicOptions& opt = {},
+    std::span<const index_t> stage1_counts = {});
 
 /// Algorithm 4 (equivalent to symbolic_out_of_core_multipart with 2
 /// parts).
-SymbolicResult symbolic_out_of_core_dynamic(gpusim::Device& device,
-                                            const Csr& a,
-                                            const SymbolicOptions& opt = {});
+SymbolicResult symbolic_out_of_core_dynamic(
+    gpusim::Device& device, const Csr& a, const SymbolicOptions& opt = {},
+    std::span<const index_t> stage1_counts = {});
 
 /// Generalization of Algorithm 4 to `parts` partitions — the extension
 /// §3.2 notes can be explored ("using more than 2 phases ... will also
@@ -78,17 +87,21 @@ SymbolicResult symbolic_out_of_core_dynamic(gpusim::Device& device,
 /// sampled frontier peak, so earlier ranges get even larger chunks; the
 /// high-frontier tail always runs with full-size scratch. parts == 1 is
 /// exactly Algorithm 3; parts == 2 is exactly Algorithm 4.
-SymbolicResult symbolic_out_of_core_multipart(gpusim::Device& device,
-                                              const Csr& a, index_t parts,
-                                              const SymbolicOptions& opt = {});
+SymbolicResult symbolic_out_of_core_multipart(
+    gpusim::Device& device, const Csr& a, index_t parts,
+    const SymbolicOptions& opt = {},
+    std::span<const index_t> stage1_counts = {});
 
 /// Algorithm 3's stage 1 (symbolic_1) alone: nnz(L+U) of `a`, counted
 /// one block per source row with the per-row scratch chunked to the
 /// device's free memory (halving the chunk when the allocation fails).
 /// `kernel` names the launches. Same counts as symbolic_out_of_core's
-/// fill_count, without stage 2 or the pattern allocation.
+/// fill_count, without stage 2 or the pattern allocation. The per-row
+/// counts come back to the host (one charged copy) and are summed there;
+/// they land in `row_counts` when it is non-null.
 offset_t count_fill_out_of_core(gpusim::Device& device, const Csr& a,
-                                const char* kernel);
+                                const char* kernel,
+                                std::vector<index_t>* row_counts = nullptr);
 
 /// Unified-memory driver; `prefetch` enables cudaMemPrefetchAsync-style
 /// staging of each row window's fill arrays.

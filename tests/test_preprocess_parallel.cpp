@@ -3,7 +3,8 @@
 // determinism across thread-pool sizes (the DESIGN.md 6i rule), pinned
 // ordering outputs, the fill gate's chunked on-device count, the
 // structured StructurallySingular error, the densification guard on the
-// parallel path, and the end-to-end pipeline under
+// parallel path, the row gathers against their host oracles, the fill
+// gate's counts handed to symbolic, and the end-to-end pipeline under
 // PreprocessMode::GpuParallel.
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "gpusim/device.hpp"
 #include "matrix/convert.hpp"
 #include "matrix/generators.hpp"
+#include "matrix/suite.hpp"
 #include "preprocess/parallel/parallel_preprocess.hpp"
 #include "preprocess/preprocess.hpp"
 #include "service/structure_hash.hpp"
@@ -35,6 +37,9 @@ namespace {
 using preprocess::parallel_diagonal_matching;
 using preprocess::parallel_equilibrate;
 using preprocess::parallel_min_degree_ordering;
+using preprocess::parallel_patch_zero_diagonal;
+using preprocess::parallel_permute;
+using preprocess::parallel_transpose;
 
 gpusim::Device test_device() {
   return gpusim::Device(gpusim::DeviceSpec::v100_with_memory(64u << 20));
@@ -138,6 +143,30 @@ const trace::Attr* find_attr(const trace::SpanRecord& r, const char* key) {
     if (std::strcmp(r.attrs[i].key, key) == 0) return &r.attrs[i];
   }
   return nullptr;
+}
+
+/// The last recorded span called `name`, or null.
+const trace::SpanRecord* last_span(const std::vector<trace::SpanRecord>& spans,
+                                   const char* name) {
+  const trace::SpanRecord* found = nullptr;
+  for (const trace::SpanRecord& r : spans) {
+    if (std::strcmp(r.name, name) == 0) found = &r;
+  }
+  return found;
+}
+
+/// Host launches of the symbolic.chunk spans of `stage`.
+std::uint64_t chunk_launches(const std::vector<trace::SpanRecord>& spans,
+                             const char* stage) {
+  std::uint64_t launches = 0;
+  for (const trace::SpanRecord& r : spans) {
+    if (std::strcmp(r.name, "symbolic.chunk") != 0) continue;
+    const trace::Attr* st = find_attr(r, "stage");
+    if (st != nullptr && std::strcmp(st->value.s, stage) == 0) {
+      launches += r.delta.host_launches;
+    }
+  }
+  return launches;
 }
 
 // ---------------------------------------------------------- matching --
@@ -355,6 +384,28 @@ TEST(ParallelPreprocess, GateDecisionIsTraced) {
   }
 }
 
+TEST(ParallelPreprocess, OrderingSpanCountsRoundsAndSelectPairs) {
+  // amd.select runs one block per (candidate, neighbour) pair; the span
+  // reports how many rounds ran and how many pair blocks they launched.
+  Recording rec;
+  gpusim::Device dev = test_device();
+  MinDegreeStats stats;
+  parallel_min_degree_ordering(dev, shuffled_grid(), {}, &stats);
+  trace::Tracer::instance().disable();
+  const std::vector<trace::SpanRecord> spans =
+      trace::Tracer::instance().collect();
+  const trace::SpanRecord* span = last_span(spans, "preprocess.ordering");
+  ASSERT_NE(span, nullptr);
+  const trace::Attr* rounds = find_attr(*span, "rounds");
+  const trace::Attr* pairs = find_attr(*span, "select_pairs");
+  ASSERT_NE(rounds, nullptr);
+  ASSERT_NE(pairs, nullptr);
+  EXPECT_GT(stats.rounds, 0);
+  EXPECT_GE(stats.select_pairs, static_cast<std::uint64_t>(stats.rounds));
+  EXPECT_EQ(rounds->value.i, stats.rounds);
+  EXPECT_EQ(pairs->value.i, static_cast<std::int64_t>(stats.select_pairs));
+}
+
 TEST(ParallelPreprocess, GateChunksScratchOnASmallDevice) {
   // 16 KiB holds the graph and one permuted candidate; the rest is four
   // rows of fill2 scratch, so each count runs as many one-block-per-row
@@ -403,6 +454,62 @@ TEST(ParallelPreprocess, GateScratchAllocFaultRetriesSmallerChunks) {
   EXPECT_EQ(parallel_min_degree_ordering(dev, a), expected);
   EXPECT_EQ(fault::Injector::instance().events().size(), 1u);
   EXPECT_GT(retries.value(), retries_before);
+}
+
+// ------------------------------------------------------- row gathers --
+
+void expect_same_matrix(const Csr& x, const Csr& y, const char* what) {
+  EXPECT_EQ(x.row_ptr, y.row_ptr) << what;
+  EXPECT_EQ(x.col_idx, y.col_idx) << what;
+  EXPECT_EQ(x.values, y.values) << what;
+}
+
+/// Diagonal of row i: zero when i % 3 == 0, missing when i % 3 == 1.
+Csr broken_diagonal(index_t n) {
+  Coo coo;
+  coo.n = n;
+  for (index_t i = 0; i < n; ++i) {
+    if (i % 3 != 1) coo.add(i, i, i % 3 == 0 ? 0.0 : 2.0 + i);
+    coo.add(i, (i + 1) % n, 1.0);
+    coo.add(i, (i + 5) % n, -0.5);
+  }
+  return coo_to_csr(coo);
+}
+
+TEST(ParallelPreprocess, GathersBuildTheHostOraclesMatrices) {
+  // One block per row each, charging the entries the row reads: the
+  // permute one per entry, the transpose two (count and scatter), the
+  // diagonal patch one per entry plus, when it inserts, one per entry of
+  // the rebuilt rows.
+  const Csr a = gen_circuit(300, 4.0, 2, 12, 0x9a7);
+  const auto nnz = static_cast<std::uint64_t>(a.nnz());
+  const Permutation rp = random_perm(a.n, 1);
+  const Permutation cp = random_perm(a.n, 2);
+  gpusim::Device dev = test_device();
+
+  expect_same_matrix(parallel_permute(dev, a, rp, cp, "pre.permute"),
+                     permute(a, rp, cp), "permute");
+  EXPECT_EQ(dev.stats().host_launches, 1u);
+  EXPECT_EQ(dev.stats().kernel_ops, nnz);
+
+  expect_same_matrix(parallel_transpose(dev, a, "match.build_csc"),
+                     transpose(a), "transpose");
+  EXPECT_EQ(dev.stats().host_launches, 2u);
+  EXPECT_EQ(dev.stats().kernel_ops, 3 * nnz);
+
+  for (const Csr& m : {broken_diagonal(40), shifted_cycle(40), a}) {
+    Csr host = m;
+    Csr device = m;
+    const gpusim::DeviceStats before = dev.snapshot();
+    const index_t patched_host = patch_zero_diagonal(host, 1000.0);
+    EXPECT_EQ(parallel_patch_zero_diagonal(dev, device, 1000.0), patched_host);
+    expect_same_matrix(device, host, "patch");
+    const gpusim::DeviceStats d = dev.stats().since(before);
+    const bool inserted = host.nnz() != m.nnz();
+    EXPECT_EQ(d.host_launches, inserted ? 2u : 1u);
+    EXPECT_EQ(d.kernel_ops, static_cast<std::uint64_t>(
+                                m.nnz() + (inserted ? host.nnz() : 0)));
+  }
 }
 
 // ------------------------------------------------------------ scaling --
@@ -550,6 +657,169 @@ TEST(ParallelPreprocess, PipelineSubPhasesTilePreprocessOps) {
   EXPECT_GE(f.preprocess.launches, f.preprocess_match.launches +
                                        f.preprocess_order.launches +
                                        f.preprocess_scale.launches);
+}
+
+/// Matching, ordering and scaling all have work: the structural diagonal
+/// of a circuit is destroyed by a column shuffle.
+Csr column_shuffled_circuit() {
+  const Csr a = gen_circuit(350, 4.0, 2, 12, 0xc0de);
+  return permute(a, identity_perm(a.n), random_perm(a.n, 0x77));
+}
+
+std::vector<value_t> random_rhs(index_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<value_t> b(static_cast<std::size_t>(n));
+  for (auto& v : b) v = rng.next_double(-1.0, 1.0);
+  return b;
+}
+
+TEST(ParallelPreprocess, PhaseOpsTileTheDeviceKernelOps) {
+  // GpuParallel preprocessing bills every step as device work — the
+  // permutes and the diagonal patch included — so the four phases' ops
+  // are exactly the device's kernel ops.
+  Options opt = parallel_pipeline_options();
+  opt.ordering = Ordering::MinDegree;
+  opt.preprocess.equilibrate = true;
+  const FactorResult f = SparseLU(opt).factorize(column_shuffled_circuit());
+  EXPECT_GT(f.preprocess_match.ops, 0u);
+  EXPECT_GT(f.preprocess_order.ops, 0u);
+  EXPECT_GT(f.preprocess_scale.ops, 0u);
+  EXPECT_EQ(f.preprocess.ops + f.symbolic.ops + f.levelize.ops +
+                f.numeric.ops,
+            f.device_stats.kernel_ops);
+}
+
+TEST(ParallelPreprocess, SymbolicReusesTheFillGateCounts) {
+  // The gate has counted the final pattern's fill already: both
+  // out-of-core drivers take the counts and launch no symbolic_1, while
+  // Serial preprocessing (no gate) still counts.
+  const Csr a = column_shuffled_circuit();
+  const std::vector<value_t> b = random_rhs(a.n, 41);
+  trace::Counter& reused =
+      trace::MetricsRegistry::global().counter("symbolic.stage1_reused");
+  for (const Mode mode : {Mode::OutOfCoreGpu, Mode::OutOfCoreGpuDynamic}) {
+    for (const PreprocessMode pre :
+         {PreprocessMode::GpuParallel, PreprocessMode::Serial}) {
+      const bool gate = pre == PreprocessMode::GpuParallel;
+      Options opt = parallel_pipeline_options();
+      opt.mode = mode;
+      opt.ordering = Ordering::MinDegree;
+      opt.preprocess.mode = pre;
+      const std::uint64_t reused_before = reused.value();
+      Recording rec;
+      const FactorResult f = SparseLU(opt).factorize(a);
+      trace::Tracer::instance().disable();
+      const std::vector<trace::SpanRecord> spans =
+          trace::Tracer::instance().collect();
+      const std::string where = std::string(gate ? "GpuParallel" : "Serial") +
+                                " mode " + std::to_string(int(mode));
+
+      EXPECT_EQ(reused.value() - reused_before, gate ? 1u : 0u) << where;
+      const trace::SpanRecord* sym = last_span(spans, "symbolic");
+      ASSERT_NE(sym, nullptr) << where;
+      const trace::Attr* stage1 = find_attr(*sym, "stage1");
+      ASSERT_NE(stage1, nullptr) << where;
+      EXPECT_STREQ(stage1->value.s, gate ? "reused" : "counted") << where;
+      EXPECT_EQ(chunk_launches(spans, "symbolic_1") == 0, gate) << where;
+      EXPECT_GT(chunk_launches(spans, "symbolic_2"), 0u) << where;
+      EXPECT_GT(f.symbolic_chunks, 0) << where;
+      EXPECT_LT(SparseLU::residual(a, SparseLU::solve(f, b), b), 1e-8)
+          << where;
+    }
+  }
+}
+
+TEST(ParallelPreprocess, SymbolicReplanKeepsTheGateCounts) {
+  // A lost symbolic_2 launch re-plans through the multipart planner,
+  // which takes the gate's counts as well: still no symbolic_1, and the
+  // same pattern as a clean run.
+  const Csr a = column_shuffled_circuit();
+  Options opt = parallel_pipeline_options();
+  opt.ordering = Ordering::MinDegree;
+  const FactorResult reference = SparseLU(opt).factorize(a);
+  trace::Counter& reused =
+      trace::MetricsRegistry::global().counter("symbolic.stage1_reused");
+  const std::uint64_t reused_before = reused.value();
+  fault::ScopedPlan plan("launch=symbolic_2@1");
+  Recording rec;
+  const FactorResult f = SparseLU(opt).factorize(a);
+  trace::Tracer::instance().disable();
+  EXPECT_EQ(fault::Injector::instance().events().size(), 1u);
+  EXPECT_GE(f.recovery_retries, 1);
+  EXPECT_EQ(reused.value() - reused_before, 1u);
+  EXPECT_EQ(chunk_launches(trace::Tracer::instance().collect(), "symbolic_1"),
+            0u);
+  EXPECT_EQ(f.fill_nnz, reference.fill_nnz);
+  EXPECT_EQ(f.l.col_idx, reference.l.col_idx);
+  EXPECT_EQ(f.u.col_idx, reference.u.col_idx);
+}
+
+TEST(ParallelPreprocess, InsertedDiagonalsKeepSymbolicCounting) {
+  // Without matching, the patch inserts the missing diagonals after the
+  // gate counted: the counts describe another pattern, so symbolic counts
+  // for itself, and the factors of the patched matrix still solve.
+  const Csr a = shifted_cycle(60);
+  ASSERT_FALSE(has_full_diagonal(a));
+  Options opt = parallel_pipeline_options();
+  opt.ordering = Ordering::MinDegree;
+  opt.match_diagonal = false;
+  trace::Counter& reused =
+      trace::MetricsRegistry::global().counter("symbolic.stage1_reused");
+  const std::uint64_t reused_before = reused.value();
+  Recording rec;
+  const FactorResult f = SparseLU(opt).factorize(a);
+  trace::Tracer::instance().disable();
+  const std::vector<trace::SpanRecord> spans =
+      trace::Tracer::instance().collect();
+  EXPECT_EQ(reused.value(), reused_before);
+  EXPECT_GT(chunk_launches(spans, "symbolic_1"), 0u);
+  const trace::SpanRecord* sym = last_span(spans, "symbolic");
+  ASSERT_NE(sym, nullptr);
+  EXPECT_STREQ(find_attr(*sym, "stage1")->value.s, "counted");
+
+  // Rows and columns share one symmetric permutation, so patching the
+  // permuted diagonal patches the original one.
+  ASSERT_EQ(f.row_perm, f.col_perm);
+  Csr patched = a;
+  ASSERT_EQ(patch_zero_diagonal(patched, *opt.diag_patch), a.n);
+  EXPECT_EQ(f.fill_nnz, symbolic::fill_of_ordering(patched, f.row_perm));
+  const std::vector<value_t> b = random_rhs(a.n, 43);
+  EXPECT_LT(SparseLU::residual(patched, SparseLU::solve(f, b), b), 1e-8);
+}
+
+TEST(ParallelPreprocess, Fig4GateCountsReproduceTheCountedSymbolic) {
+  // The 18 Figure 4 stand-ins, columns shuffled, preprocessed the way
+  // GpuParallel SparseLU does: the counts the gate hands over give
+  // Algorithm 4 the filled pattern and per-row counts of a run that
+  // counts for itself.
+  for (const SuiteEntry& e : table2_suite(64)) {
+    const index_t n = e.matrix.n;
+    const Permutation id = identity_perm(n);
+    const Csr shuffled =
+        permute(e.matrix, id, random_perm(n, 0xc0ffee ^ std::uint64_t(n)));
+    gpusim::Device dev(gpusim::DeviceSpec::v100_with_memory(256u << 20));
+    const Csr matched = parallel_permute(
+        dev, shuffled, id, parallel_diagonal_matching(dev, shuffled),
+        "pre.permute");
+    MinDegreeStats st;
+    const Permutation p = parallel_min_degree_ordering(dev, matched, {}, &st);
+    const Csr pre = parallel_permute(dev, matched, p, p, "pre.permute");
+    ASSERT_TRUE(has_full_diagonal(pre)) << e.abbr;  // the patch inserts none
+    ASSERT_EQ(st.fill_counts.size(), static_cast<std::size_t>(n)) << e.abbr;
+
+    const symbolic::SymbolicResult handed =
+        symbolic::symbolic_out_of_core_dynamic(dev, pre, {}, st.fill_counts);
+    const symbolic::SymbolicResult counted =
+        symbolic::symbolic_out_of_core_dynamic(dev, pre);
+    EXPECT_EQ(handed.filled.row_ptr, counted.filled.row_ptr) << e.abbr;
+    EXPECT_EQ(handed.filled.col_idx, counted.filled.col_idx) << e.abbr;
+    EXPECT_EQ(handed.fill_count, counted.fill_count) << e.abbr;
+    EXPECT_EQ(handed.filled.nnz(),
+              std::min(st.gate_fill_amd, st.gate_fill_rcm))
+        << e.abbr;
+    EXPECT_GT(handed.num_chunks, 0) << e.abbr;
+    EXPECT_LT(handed.ops, counted.ops) << e.abbr;
+  }
 }
 
 TEST(ParallelPreprocess, ScalingRoundTripsThroughSolve) {

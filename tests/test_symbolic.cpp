@@ -167,6 +167,76 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 2, 3),
                        ::testing::Values(6, 11, 16)));
 
+class Stage1HandoffTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(Stage1HandoffTest, HandedCountsReproduceTheCountedRun) {
+  // Counts from the stage-1 pass alone, handed back to every out-of-core
+  // driver on a device small enough to chunk: same filled pattern and
+  // per-row counts as a run that counts for itself, and no symbolic_1.
+  const auto [kind, scale] = GetParam();
+  const Csr a = make_case(kind, scale, 77);
+  std::vector<index_t> counts;
+  gpusim::Device gate(gpusim::DeviceSpec::v100_with_memory(64u << 20));
+  const offset_t fill =
+      count_fill_out_of_core(gate, a, "ord.fillgate", &counts);
+  ASSERT_EQ(counts.size(), static_cast<std::size_t>(a.n));
+  EXPECT_EQ(gate.stats().d2h_bytes, counts.size() * sizeof(index_t));
+
+  const std::size_t resident =
+      a.row_ptr.size() * sizeof(offset_t) +
+      a.col_idx.size() * sizeof(index_t) +
+      static_cast<std::size_t>(a.n) * sizeof(index_t) +
+      static_cast<std::size_t>(fill) * sizeof(index_t);
+  const auto small_device = [&] {
+    return gpusim::Device(gpusim::DeviceSpec::v100_with_memory(
+        resident +
+        scratch_bytes_per_row(a.n) * std::max<std::size_t>(2, a.n / 5)));
+  };
+  for (const index_t parts : {1, 2, 3}) {
+    gpusim::Device d_counted = small_device();
+    gpusim::Device d_handed = small_device();
+    const SymbolicResult counted =
+        symbolic_out_of_core_multipart(d_counted, a, parts);
+    const SymbolicResult handed =
+        symbolic_out_of_core_multipart(d_handed, a, parts, {}, counts);
+    EXPECT_EQ(handed.filled.row_ptr, counted.filled.row_ptr) << parts;
+    EXPECT_EQ(handed.filled.col_idx, counted.filled.col_idx) << parts;
+    EXPECT_EQ(handed.fill_count, counted.fill_count) << parts;
+    EXPECT_EQ(handed.filled.nnz(), fill) << parts;
+    EXPECT_GT(handed.num_chunks, 0) << parts;
+    EXPECT_LT(d_handed.stats().host_launches, d_counted.stats().host_launches)
+        << parts;
+  }
+  gpusim::Device d_dyn = small_device();
+  const SymbolicResult dyn =
+      symbolic_out_of_core_dynamic(d_dyn, a, {}, counts);
+  EXPECT_EQ(dyn.fill_count, counts);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, Stage1HandoffTest,
+    ::testing::Combine(::testing::Values(0, 1, 2, 3),
+                       ::testing::Values(6, 11, 16)));
+
+TEST(Stage1Counts, WrongCountsAreRejectedByACheck) {
+  const Csr a = make_case(2, 8, 3);
+  gpusim::Device dev(gpusim::DeviceSpec::v100_with_memory(64u << 20));
+  const auto n = static_cast<std::size_t>(a.n);
+  for (const std::size_t len : {n - 1, n + 1}) {
+    const std::vector<index_t> counts(len, 1);
+    EXPECT_THROW(symbolic_out_of_core(dev, a, {}, counts), Error) << len;
+    EXPECT_THROW(symbolic_out_of_core_dynamic(dev, a, {}, counts), Error)
+        << len;
+    EXPECT_THROW(symbolic_out_of_core_multipart(dev, a, 3, {}, counts), Error)
+        << len;
+  }
+  // Right length, wrong values: stage 2 stays inside each row's segment
+  // and reports the divergence.
+  const std::vector<index_t> too_few(n, 1);
+  EXPECT_THROW(symbolic_out_of_core(dev, a, {}, too_few), Error);
+}
+
 class MultipartTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MultipartTest, AnyPartCountProducesTheReferencePattern) {
