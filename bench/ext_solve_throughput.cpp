@@ -1,6 +1,6 @@
 // ext_solve_throughput: batched multi-RHS triangular solves vs. the
 // one-RHS-at-a-time path — the launch-amortization case for the
-// SolverService (solve/batched.hpp, solve/service.hpp).
+// SolverService (solve/pipeline_solver.hpp, solve/service.hpp).
 //
 //   ./build/bench/ext_solve_throughput [n]
 //
@@ -27,7 +27,7 @@
 
 #include "bench_common.hpp"
 #include "matrix/generators.hpp"
-#include "solve/batched.hpp"
+#include "solve/pipeline_solver.hpp"
 #include "solve/service.hpp"
 #include "support/rng.hpp"
 #include "trace/metrics.hpp"
@@ -59,8 +59,7 @@ int main(int argc, char** argv) {
 
   gpusim::Device dev(opt.device);
   const solve::PipelineSolver solver(dev, f);
-  const solve::BatchedPipelineSolver batched(solver);
-  const index_t launches = static_cast<index_t>(batched.launches_per_batch());
+  const index_t launches = static_cast<index_t>(solver.launches_per_batch());
 
   std::printf("=== ext_solve_throughput: batched cluster sweeps, n=%d "
               "nnz=%lld, %d launches per solve, %d right-hand sides ===\n",
@@ -96,7 +95,7 @@ int main(int argc, char** argv) {
       const std::span<const value_t> chunk(
           population.data() + static_cast<std::size_t>(r0) * a.n,
           static_cast<std::size_t>(width) * a.n);
-      const std::vector<value_t> x = batched.solve_many(chunk, width);
+      const std::vector<value_t> x = solver.solve_many(chunk, width);
       std::copy(x.begin(), x.end(),
                 x_batched.begin() + static_cast<std::ptrdiff_t>(r0) * a.n);
     }

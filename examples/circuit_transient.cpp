@@ -119,12 +119,10 @@ int main() {
   }
   const refactor::RefactorStats& rs = refac.stats();
   std::printf("%d Newton steps in %.0f ms: %llu refactorized, %llu stability "
-              "fallbacks, %llu pattern rebuilds; reuse-path sim total "
-              "%.0f us; checksum %.6f\n",
+              "fallbacks; reuse-path sim total %.0f us; checksum %.6f\n",
               newton_steps, newton_timer.millis(),
               static_cast<unsigned long long>(rs.reused),
               static_cast<unsigned long long>(rs.stability_fallbacks),
-              static_cast<unsigned long long>(rs.pattern_rebuilds),
               rs.reused_sim_us, drift_checksum);
 
   // ---- Part 3: concurrent measurement clients through the SolverService,

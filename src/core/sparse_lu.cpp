@@ -38,13 +38,35 @@ std::uint64_t launch_count(const gpusim::Device& dev) {
   return dev.stats().host_launches + dev.stats().device_launches;
 }
 
-/// The single-device executor: the paper's format rule picks the dense
-/// window or the sparse binary search, and a device OOM in the dense
-/// window falls back to the sparse format.
+/// The single-device executor, and the library's one format dispatch:
+/// the dense window, the sparse binary search (Algorithm 6), or the
+/// replay task list. The level plan is built once, on the first run(),
+/// into the artifacts.
 class DeviceExecutor final : public NumericExecutor {
  public:
-  DeviceExecutor(gpusim::Device& dev, const Options& options)
-      : dev_(dev), options_(options) {}
+  /// A cold build: plan() resolves the format by the paper's rule, and a
+  /// device OOM in the dense window falls back to the sparse format.
+  DeviceExecutor(gpusim::Device& dev, const Options& options,
+                 FactorizationArtifacts& artifacts)
+      : dev_(dev),
+        options_(options),
+        nopt_(options.numeric),
+        artifacts_(artifacts) {}
+
+  /// A refactorize on cached artifacts: their resolved format and plan,
+  /// the replay task list when its storage is resident, and no mirror
+  /// uploads — the caller holds As on the device.
+  DeviceExecutor(gpusim::Device& dev, const Options& options,
+                 FactorizationArtifacts& artifacts,
+                 const numeric::ReplayPlan& replay,
+                 numeric::DeviceReplayPlan* replay_storage)
+      : DeviceExecutor(dev, options, artifacts) {
+    nopt_.device_resident = true;
+    sparse_ = artifacts.use_sparse_numeric;
+    planned_ = true;
+    replay_ = &replay;
+    replay_storage_ = replay_storage;
+  }
 
   void plan(const NumericStage& stage) override {
     sparse_ = options_.numeric_format == NumericFormat::Auto
@@ -56,14 +78,24 @@ class DeviceExecutor final : public NumericExecutor {
 
   numeric::NumericStats run(numeric::FactorMatrix& fm,
                             const scheduling::LevelSchedule& s) override {
+    if (!planned_) {
+      artifacts_.plan =
+          numeric::build_level_plan(fm, s, dev_.spec(), nopt_.fusion);
+      planned_ = true;
+    }
+    const numeric::LevelPlan& plan = artifacts_.plan;
+    const bool replay = replay_storage_ != nullptr;
     trace::Span span("numeric", dev_,
-                     {{"format", sparse_ ? "sparse" : "dense"},
+                     {{"format", replay    ? "replay"
+                                 : sparse_ ? "sparse"
+                                           : "dense"},
                       {"levels", s.num_levels()}});
     const numeric::NumericStats stats =
-        sparse_ ? numeric::factorize_sparse_bsearch(dev_, fm, s,
-                                                    options_.numeric)
-                : numeric::factorize_dense_window(dev_, fm, s,
-                                                  options_.numeric);
+        replay ? numeric::factorize_replay(dev_, fm, s, plan, *replay_,
+                                           *replay_storage_, nopt_)
+        : sparse_
+            ? numeric::factorize_sparse_bsearch(dev_, fm, s, nopt_, &plan)
+            : numeric::factorize_dense_window(dev_, fm, s, nopt_, &plan);
     span.attr("fused_levels", stats.fused_levels);
     return stats;
   }
@@ -72,7 +104,9 @@ class DeviceExecutor final : public NumericExecutor {
     if (fault.kind != FaultKind::DeviceOutOfMemory) {
       return {"recovery.launch_retry"};
     }
-    if (sparse_) return {"recovery.numeric.retry"};
+    if (sparse_ || replay_storage_ != nullptr) {
+      return {"recovery.numeric.retry"};
+    }
     // The dense window is the memory-hungry format; the sparse
     // binary-search path (§3.4) has no resident-window allocation, so
     // falling back to it is the structural answer to numeric OOM.
@@ -87,36 +121,48 @@ class DeviceExecutor final : public NumericExecutor {
  private:
   gpusim::Device& dev_;
   const Options& options_;
+  numeric::NumericOptions nopt_;
+  FactorizationArtifacts& artifacts_;
   bool sparse_ = false;
+  bool planned_ = false;
+  const numeric::ReplayPlan* replay_ = nullptr;
+  numeric::DeviceReplayPlan* replay_storage_ = nullptr;
 };
 
 }  // namespace
 
 FactorResult SparseLU::factorize(const Csr& a_in) {
-  return factorize_on_own_device(a_in, nullptr);
+  FactorizationArtifacts artifacts;
+  return factorize(a_in, artifacts);
 }
 
 FactorResult SparseLU::factorize(const Csr& a_in,
                                  FactorizationArtifacts& artifacts) {
-  return factorize_on_own_device(a_in, &artifacts);
+  gpusim::Device dev(options_.device);
+  if (options_.pool != nullptr) dev.use_pool(*options_.pool);
+  DeviceExecutor numeric(dev, options_, artifacts);
+  return factorize_impl(a_in, dev, numeric, artifacts);
 }
 
 FactorResult SparseLU::factorize(const Csr& a_in, gpusim::Device& device,
                                  NumericExecutor& numeric) {
-  return factorize_impl(a_in, device, numeric, nullptr);
+  FactorizationArtifacts artifacts;
+  return factorize_impl(a_in, device, numeric, artifacts);
 }
 
-FactorResult SparseLU::factorize_on_own_device(
-    const Csr& a_in, FactorizationArtifacts* artifacts) {
-  gpusim::Device dev(options_.device);
-  if (options_.pool != nullptr) dev.use_pool(*options_.pool);
-  DeviceExecutor numeric(dev, options_);
-  return factorize_impl(a_in, dev, numeric, artifacts);
+FactorResult SparseLU::refactorize(gpusim::Device& device,
+                                   FactorizationArtifacts& artifacts,
+                                   const numeric::ReplayPlan& replay,
+                                   numeric::DeviceReplayPlan* replay_storage,
+                                   const Refill& refill) {
+  DeviceExecutor numeric(device, options_, artifacts, replay, replay_storage);
+  return run_numeric(numeric, nullptr, artifacts.matrix, artifacts.schedule,
+                     refill);
 }
 
 FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
                                       NumericExecutor& numeric,
-                                      FactorizationArtifacts* artifacts) {
+                                      FactorizationArtifacts& artifacts) {
   validate(a_in);
   E2ELU_CHECK_MSG(a_in.n > 0, "empty matrix");
   E2ELU_CHECK_MSG(!a_in.values.empty(), "matrix has no values");
@@ -128,11 +174,6 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
                         {{"n", n},
                          {"nnz", a_in.nnz()},
                          {"mode", mode_name(options_.mode)}});
-  // Attempts a phase may spend on faults; 0 turns recovery off.
-  const auto budget = [this](int attempts) {
-    return options_.recovery.enabled ? attempts : 0;
-  };
-
   // ---- Pre-processing (Figure 2, first box). Serial mode is the
   // paper's host-serial stage, modeled at a single host thread's
   // throughput; GpuParallel routes matching / minimum-degree / scaling
@@ -382,31 +423,55 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
   res.num_levels = schedule.num_levels();
 
   // ---- Numeric factorization (§3.4), on the executor.
+  const NumericStage stage{sym.filled, graph, schedule};
+  const FactorResult num = run_numeric(
+      numeric, &stage, artifacts.matrix, schedule,
+      [&](numeric::FactorMatrix& m) {
+        TRACE_SPAN("numeric.build", dev);
+        m = numeric::FactorMatrix::build(sym.filled, a);
+      });
+  res.numeric = num.numeric;
+  res.fused_levels = num.fused_levels;
+  res.used_sparse_numeric = num.used_sparse_numeric;
+  res.pivot_perturbations = num.pivot_perturbations;
+  res.recovery_retries += num.recovery_retries;
+
+  {
+    TRACE_SPAN("extract_lu", dev);
+    numeric::extract_lu(artifacts.matrix, res.l, res.u);
+  }
+  res.device_stats = dev.stats();
+  artifacts.schedule = std::move(schedule);
+  artifacts.use_sparse_numeric = res.used_sparse_numeric;
+  return res;
+}
+
+FactorResult SparseLU::run_numeric(NumericExecutor& numeric,
+                                   const NumericStage* stage,
+                                   numeric::FactorMatrix& m,
+                                   const scheduling::LevelSchedule& s,
+                                   const Refill& refill) const {
+  FactorResult res;
   WallTimer t_num;
-  const double num_clock_before = numeric.clock_us();
-  launches_before = numeric.launches();
-  numeric.plan({sym.filled, graph, schedule});
-  numeric::FactorMatrix fm;
+  const double clock_before = numeric.clock_us();
+  const std::uint64_t launches_before = numeric.launches();
+  if (stage != nullptr) numeric.plan(*stage);
   std::vector<index_t> perturbed_cols;
   index_t last_zero_col = -1;
-  const auto run_numeric = [&](int) {
-    // A failed elimination leaves As partially updated, so every attempt
-    // rebuilds the values from A; perturbed diagonals are re-applied on
-    // top of the fresh scatter.
-    {
-      TRACE_SPAN("numeric.build", dev);
-      fm = numeric::FactorMatrix::build(sym.filled, a);
-    }
+  const auto attempt = [&](int k) {
+    // A failed elimination leaves As partially updated, so every retry
+    // refills the values; perturbed diagonals are re-applied on top.
+    if (k > 0 || stage != nullptr) refill(m);
     const value_t bump = options_.diag_patch.value_or(value_t{1});
     for (const index_t c : perturbed_cols) {
-      fm.csc.values[static_cast<std::size_t>(fm.diag_pos[c])] += bump;
+      m.csc.values[static_cast<std::size_t>(m.diag_pos[c])] += bump;
     }
-    const numeric::NumericStats nstats = numeric.run(fm, schedule);
+    const numeric::NumericStats nstats = numeric.run(m, s);
     res.numeric.ops = nstats.ops;
     res.fused_levels = nstats.fused_levels;
   };
-  res.recovery_retries += with_recovery(
-      "numeric", budget(options_.recovery.max_numeric_attempts), run_numeric,
+  res.recovery_retries = with_recovery(
+      "numeric", budget(options_.recovery.max_numeric_attempts), attempt,
       [&](const Fault& fault) -> Retry {
         if (fault.kind != FaultKind::ZeroPivot) {
           return numeric.on_device_fault(fault);
@@ -416,28 +481,15 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
           return {"recovery.numeric.retry"};
         }
         // The same column failed twice, so this is no transient fault:
-        // bump its starting diagonal (the §4.4 patch value) and re-run —
-        // the refactor engine's instability fallback, extended to
-        // first-time factorization.
+        // bump its starting diagonal (the §4.4 patch value) and re-run.
         perturbed_cols.push_back(fault.column);
         ++res.pivot_perturbations;
         return {"recovery.numeric.pivot_perturb"};
       });
   res.used_sparse_numeric = numeric.sparse();
-  res.numeric.sim_us = numeric.clock_us() - num_clock_before;
+  res.numeric.sim_us = numeric.clock_us() - clock_before;
   res.numeric.launches = numeric.launches() - launches_before;
   res.numeric.wall_ms = t_num.millis();
-
-  {
-    TRACE_SPAN("extract_lu", dev);
-    numeric::extract_lu(fm, res.l, res.u);
-  }
-  res.device_stats = dev.stats();
-  if (artifacts != nullptr) {
-    artifacts->filled = std::move(sym.filled);
-    artifacts->schedule = std::move(schedule);
-    artifacts->use_sparse_numeric = res.used_sparse_numeric;
-  }
   return res;
 }
 

@@ -8,8 +8,9 @@
 // Mode::CpuBaseline is the paper's comparison system, a multicore-CPU
 // symbolic + levelization feeding the GLU3.0-style numeric phase. The
 // numeric stage is swappable (NumericExecutor): the default runs on one
-// device, sharding::ShardedFactorizer plugs in a device group. Every
-// stage recovers from faults through one helper (core/recovery.hpp).
+// device, sharding::ShardedFactorizer plugs in a device group, and
+// refactorize() runs the stage alone on cached artifacts. Every stage
+// recovers from faults through one helper (core/recovery.hpp).
 //
 // Typical use:
 //   SparseLU lu(options);
@@ -18,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -151,15 +153,19 @@ struct FactorResult {
   }
 };
 
-/// The pattern-dependent (value-independent) intermediates of one
-/// factorize() run: everything a same-pattern re-factorization can reuse
-/// without redoing the symbolic and levelization phases. The permutations
-/// live in the accompanying FactorResult. Consumed by
+/// What one factorize() run built for its numeric stage: everything a
+/// same-pattern re-factorization reuses without redoing the symbolic and
+/// levelization phases. The permutations live in the accompanying
+/// FactorResult. Consumed by SparseLU::refactorize through
 /// refactor::Refactorizer.
 struct FactorizationArtifacts {
-  Csr filled;                          ///< pattern of As = L+U, rows sorted
+  /// As after the elimination: the filled pattern of L+U (rows sorted) in
+  /// both orientations, its position maps and the factored values.
+  numeric::FactorMatrix matrix;
   scheduling::LevelSchedule schedule;  ///< column level schedule
-  bool use_sparse_numeric = false;     ///< resolved numeric-format decision
+  numeric::LevelPlan plan;             ///< the level plan the executor ran
+  /// Resolved numeric format, a dense -> sparse OOM fallback included.
+  bool use_sparse_numeric = false;
 };
 
 /// What the numeric stage hands its executor once levelization is done.
@@ -171,13 +177,14 @@ struct NumericStage {
 };
 
 /// The numeric stage of the pipeline (§3.4). SparseLU owns the value
-/// scatter, the zero-pivot policy, the retry budget and the phase report;
+/// fill, the zero-pivot policy, the retry budget and the phase report;
 /// the executor owns where the elimination runs and how it answers a
 /// device fault.
 class NumericExecutor {
  public:
   virtual ~NumericExecutor() = default;
-  /// Called once per factorization, before the first attempt.
+  /// Called once per factorize(), before the first attempt (an executor
+  /// for refactorize() comes planned from its artifacts).
   virtual void plan(const NumericStage& stage) = 0;
   /// One elimination attempt over freshly scattered values.
   virtual numeric::NumericStats run(numeric::FactorMatrix& fm,
@@ -198,14 +205,31 @@ class SparseLU {
   /// Runs the full pipeline on A (square, structurally non-singular).
   FactorResult factorize(const Csr& a);
 
-  /// As factorize(), additionally exporting the symbolic / scheduling
-  /// intermediates for pattern-reuse re-factorization.
+  /// As factorize(), additionally exporting what the numeric stage ran
+  /// on, for pattern-reuse re-factorization (refactorize()).
   FactorResult factorize(const Csr& a, FactorizationArtifacts& artifacts);
 
   /// Runs the full pipeline on `device` with `numeric` as the numeric
   /// stage. Options::pool is not applied: the device keeps its own.
   FactorResult factorize(const Csr& a, gpusim::Device& device,
                          NumericExecutor& numeric);
+
+  /// Rewrites As's values before a retry: a failed elimination leaves
+  /// them partially updated.
+  using Refill = std::function<void(numeric::FactorMatrix&)>;
+
+  /// The pipeline's numeric stage alone, on cached artifacts and on the
+  /// caller's `device`, which already holds As's arrays. On entry
+  /// artifacts.matrix holds the first attempt's values; `refill` rewrites
+  /// them before each retry. Runs the artifacts' format, or the replay
+  /// task list when `replay_storage` is given. Returns the numeric
+  /// PhaseReport, recovery_retries and pivot_perturbations; the other
+  /// fields stay empty.
+  FactorResult refactorize(gpusim::Device& device,
+                           FactorizationArtifacts& artifacts,
+                           const numeric::ReplayPlan& replay,
+                           numeric::DeviceReplayPlan* replay_storage,
+                           const Refill& refill);
 
   /// Solves A x = b using a factorization from this class (applies the
   /// stored permutations around the triangular solves).
@@ -217,11 +241,22 @@ class SparseLU {
                          std::span<const value_t> b);
 
  private:
-  FactorResult factorize_on_own_device(const Csr& a,
-                                       FactorizationArtifacts* artifacts);
   FactorResult factorize_impl(const Csr& a, gpusim::Device& dev,
                               NumericExecutor& numeric,
-                              FactorizationArtifacts* artifacts);
+                              FactorizationArtifacts& artifacts);
+  /// The numeric stage: attempts of `numeric` over `m` under
+  /// with_recovery, the zero-pivot policy (retry, then perturb) and the
+  /// phase report. A cold build passes its `stage`: the executor is
+  /// planned and `m` filled inside the phase. Without one, `m` arrives
+  /// filled and `refill` runs before retries only.
+  FactorResult run_numeric(NumericExecutor& numeric, const NumericStage* stage,
+                           numeric::FactorMatrix& m,
+                           const scheduling::LevelSchedule& s,
+                           const Refill& refill) const;
+  /// Attempts a phase may spend on faults; 0 turns recovery off.
+  int budget(int attempts) const {
+    return options_.recovery.enabled ? attempts : 0;
+  }
 
   Options options_;
 };

@@ -19,7 +19,9 @@ std::string ZeroPivotError::describe(index_t column, double value) {
   return os.str();
 }
 
-FactorMatrix FactorMatrix::build_skeleton(const Csr& filled) {
+FactorMatrix FactorMatrix::build(const Csr& filled, const Csr& a) {
+  E2ELU_CHECK(filled.n == a.n);
+  E2ELU_CHECK_MSG(!a.values.empty(), "input matrix has no values");
   FactorMatrix m;
   m.pattern = filled;
   m.pattern.values.clear();
@@ -36,13 +38,7 @@ FactorMatrix FactorMatrix::build_skeleton(const Csr& filled) {
                         << j << "; run diagonal matching / patching first");
     m.diag_pos[j] = m.csc.col_ptr[j] + (it - rows.begin());
   }
-  return m;
-}
 
-void scatter_values(FactorMatrix& m, const Csr& a) {
-  E2ELU_CHECK(m.n() == a.n);
-  E2ELU_CHECK_MSG(!a.values.empty(), "input matrix has no values");
-  std::fill(m.csc.values.begin(), m.csc.values.end(), value_t{0});
   // Scatter A's values through the position map: walk A's row and the
   // pattern row together (the pattern is a superset).
   for (index_t i = 0; i < a.n; ++i) {
@@ -56,12 +52,6 @@ void scatter_values(FactorMatrix& m, const Csr& a) {
       m.csc.values[m.csr_pos_to_csc[p]] = a.values[k];
     }
   }
-}
-
-FactorMatrix FactorMatrix::build(const Csr& filled, const Csr& a) {
-  E2ELU_CHECK(filled.n == a.n);
-  FactorMatrix m = build_skeleton(filled);
-  scatter_values(m, a);
   return m;
 }
 

@@ -63,17 +63,7 @@ struct FactorMatrix {
   /// fill-in positions start at zero. `filled` must contain `a`'s pattern
   /// (it does, by Theorem 1) and a full diagonal.
   static FactorMatrix build(const Csr& filled, const Csr& a);
-
-  /// Structure-only build: pattern, CSC skeleton, position maps, diagonal
-  /// positions — everything value-independent. A re-factorization caches
-  /// this and refills values with scatter_values() per matrix.
-  static FactorMatrix build_skeleton(const Csr& filled);
 };
-
-/// Re-scatters `a`'s values into an existing skeleton (fill-in positions
-/// reset to zero; structure untouched). The reuse entry point of the
-/// refactorization path: pattern of `a` must be contained in the skeleton.
-void scatter_values(FactorMatrix& m, const Csr& a);
 
 /// Per-level execution parameters that depend only on the pattern and the
 /// schedule: GLU3.0 A/B/C type, the modeled warp efficiency, and the

@@ -26,11 +26,13 @@ void Refactorizer::rebuild(const Csr& a) {
   base_pattern_ = a;
   base_pattern_.values.clear();
 
-  SparseLU lu(options_);
-  factors_ = lu.factorize(a, artifacts_);
-  skeleton_ = numeric::FactorMatrix::build_skeleton(artifacts_.filled);
-  plan_ = numeric::build_level_plan(skeleton_, artifacts_.schedule,
-                                    options_.device, options_.numeric.fusion);
+  // The cold build runs on SparseLU's own fresh device: this device still
+  // holds the previous plan's buffers during a fallback, and the dense
+  // window sizes its column cap from free memory.
+  FactorizationArtifacts fresh;
+  factors_ = SparseLU(options_).factorize(a, fresh);
+  artifacts_ = std::move(fresh);
+  const numeric::FactorMatrix& m = artifacts_.matrix;
 
   // Value scatter map: A(i0,j0) lands at B(r,c) = (inv_row[i0],
   // inv_col[j0]) of the factorized matrix B = P_r A P_c^T, whose pattern
@@ -44,7 +46,7 @@ void Refactorizer::rebuild(const Csr& a) {
   }
   for (index_t i0 = 0; i0 < a.n; ++i0) {
     const index_t r = inv_row[i0];
-    const auto cols = skeleton_.pattern.row_cols(r);
+    const auto cols = m.pattern.row_cols(r);
     for (offset_t k = a.row_ptr[i0]; k < a.row_ptr[i0 + 1]; ++k) {
       const index_t j0 = a.col_idx[k];
       if (!entry_scale_.empty()) {
@@ -57,8 +59,7 @@ void Refactorizer::rebuild(const Csr& a) {
                       "filled pattern is missing permuted entry ("
                           << r << "," << c << ")");
       value_map_[static_cast<std::size_t>(k)] =
-          skeleton_.csr_pos_to_csc[skeleton_.pattern.row_ptr[r] +
-                                   (it - cols.begin())];
+          m.csr_pos_to_csc[m.pattern.row_ptr[r] + (it - cols.begin())];
     }
   }
 
@@ -69,7 +70,7 @@ void Refactorizer::rebuild(const Csr& a) {
   // window exists to provide, without its per-batch scatter/gather
   // staging, so the format trade-off that picked dense for the one-shot
   // run does not apply to a replayed one.
-  replay_ = numeric::build_replay_plan(skeleton_, artifacts_.schedule);
+  replay_ = numeric::build_replay_plan(m, artifacts_.schedule);
 
   // Refresh the device-resident structure: release the previous
   // generation's allocations before charging the new uploads. In windowed
@@ -79,9 +80,7 @@ void Refactorizer::rebuild(const Csr& a) {
   // whose factors would never fit.
   device_matrix_.reset();
   device_replay_.reset();
-  if (!options_.numeric.window.enabled) {
-    device_matrix_.emplace(device_, skeleton_);
-  }
+  if (!options_.numeric.window.enabled) device_matrix_.emplace(device_, m);
   if (!replay_.empty()) {
     try {
       device_replay_.emplace(device_, replay_);
@@ -91,8 +90,7 @@ void Refactorizer::rebuild(const Csr& a) {
       replay_.tasks.shrink_to_fit();
     } catch (const gpusim::OutOfDeviceMemory&) {
       // Not even the O(fill) per-sub-column arrays fit next to the
-      // resident structure: refactorizations keep the discovery-mode
-      // executor instead.
+      // resident structure: refactorizations run the cached format.
       replay_ = {};
     }
   }
@@ -120,8 +118,7 @@ std::size_t Refactorizer::device_footprint_bytes() const {
 }
 
 RefactorReport Refactorizer::fall_back(const Csr& a_new, const char* reason,
-                                       RefactorReport rep,
-                                       bool pattern_rebuild) {
+                                       RefactorReport rep) {
   TRACE_SPAN("refactor.fallback", {{"reason", reason}});
   rebuild(a_new);
   rep.reused = false;
@@ -129,14 +126,32 @@ RefactorReport Refactorizer::fall_back(const Csr& a_new, const char* reason,
   rep.fallback_reason = reason;
   rep.fallback_sim_us = factors_.total_sim_us();
   rep.device = factors_.device_stats;
-  if (pattern_rebuild) {
-    ++stats_.pattern_rebuilds;
-  } else {
-    ++stats_.stability_fallbacks;
-  }
+  ++stats_.stability_fallbacks;
   stats_.fallback_sim_us += rep.total_sim_us();
   stats_.last = rep;
   return rep;
+}
+
+double Refactorizer::scatter(const Csr& a) {
+  numeric::FactorMatrix& m = artifacts_.matrix;
+  std::fill(m.csc.values.begin(), m.csc.values.end(), value_t{0});
+  double max_abs = 0;
+  for (std::size_t k = 0; k < value_map_.size(); ++k) {
+    const value_t v =
+        entry_scale_.empty() ? a.values[k] : a.values[k] * entry_scale_[k];
+    m.csc.values[value_map_[k]] = v;
+    max_abs = std::max(max_abs, std::abs(static_cast<double>(v)));
+  }
+  if (options_.diag_patch.has_value()) {
+    for (index_t j = 0; j < a.n; ++j) {
+      value_t& d = m.csc.values[m.diag_pos[j]];
+      if (d == value_t{0}) d = *options_.diag_patch;
+    }
+  }
+  // Windowed mode keeps no resident values array: the numeric phase
+  // streams values in group by group and charges the transfers there.
+  if (device_matrix_.has_value()) device_matrix_->upload_values(m);
+  return max_abs;
 }
 
 RefactorReport Refactorizer::refactorize(const Csr& a_new) {
@@ -145,43 +160,23 @@ RefactorReport Refactorizer::refactorize(const Csr& a_new) {
   trace::Span span_re("refactorize", device_,
                       {{"n", a_new.n}, {"nnz", a_new.nnz()}});
   validate(a_new);
-
-  if (a_new.n != base_pattern_.n || !same_pattern(a_new, base_pattern_)) {
-    E2ELU_CHECK_MSG(ropt_.on_mismatch == MismatchPolicy::Refactorize,
-                    "refactorize: sparsity pattern differs from the cached "
-                    "factorization (pattern reuse is only valid for "
-                    "value-only changes); construct a new Refactorizer or "
-                    "set MismatchPolicy::Refactorize");
-    return fall_back(a_new, "pattern mismatch", rep, /*pattern_rebuild=*/true);
-  }
+  E2ELU_CHECK_MSG(a_new.n == base_pattern_.n &&
+                      same_pattern(a_new, base_pattern_),
+                  "refactorize: sparsity pattern differs from the cached "
+                  "factorization (pattern reuse is only valid for "
+                  "value-only changes); construct a new Refactorizer");
   E2ELU_CHECK_MSG(!a_new.values.empty(), "matrix has no values");
 
   const gpusim::DeviceStats dev_before = device_.stats();
 
-  // ---- Scatter: new values through the cached permutations into the
-  // cached skeleton, then one values-only upload (structure is resident).
+  // ---- Scatter: new values through the cached permutations into As,
+  // then one values-only upload (structure is resident). Billed here,
+  // before the numeric stage's clock starts.
   WallTimer t_scatter;
   double max_abs_a = 0;
   {
     TRACE_SPAN("refactor.scatter", device_, {{"nnz", a_new.nnz()}});
-    std::fill(skeleton_.csc.values.begin(), skeleton_.csc.values.end(),
-              value_t{0});
-    for (std::size_t k = 0; k < value_map_.size(); ++k) {
-      const value_t v = entry_scale_.empty()
-                            ? a_new.values[k]
-                            : a_new.values[k] * entry_scale_[k];
-      skeleton_.csc.values[value_map_[k]] = v;
-      max_abs_a = std::max(max_abs_a, std::abs(static_cast<double>(v)));
-    }
-    if (options_.diag_patch.has_value()) {
-      for (index_t j = 0; j < a_new.n; ++j) {
-        value_t& d = skeleton_.csc.values[skeleton_.diag_pos[j]];
-        if (d == value_t{0}) d = *options_.diag_patch;
-      }
-    }
-    // Windowed mode keeps no resident values array: the numeric phase
-    // streams values in group by group and charges the transfers there.
-    if (device_matrix_.has_value()) device_matrix_->upload_values(skeleton_);
+    max_abs_a = scatter(a_new);
   }
   rep.scatter.ops = static_cast<std::uint64_t>(a_new.nnz());
   rep.scatter.wall_ms = t_scatter.millis();
@@ -189,77 +184,56 @@ RefactorReport Refactorizer::refactorize(const Csr& a_new) {
       options_.host.time_us(rep.scatter.ops) +
       (device_.stats().sim_total_us() - dev_before.sim_total_us());
 
-  // ---- Numeric phase only, on the cached schedule / level plan / format.
-  WallTimer t_num;
-  const double sim_before_num = device_.stats().sim_total_us();
-  numeric::NumericOptions nopt = options_.numeric;
-  nopt.device_resident = true;
+  // ---- The pipeline's numeric stage on the cached artifacts; a retry
+  // scatters (and uploads) the values again.
+  FactorResult num;
   try {
-    // Task-list replay whenever the plan is resident (see rebuild());
-    // otherwise honor the pipeline's cached format decision.
-    TRACE_SPAN("refactor.numeric", device_,
-               {{"format", device_replay_.has_value() ? "replay"
-                           : artifacts_.use_sparse_numeric ? "sparse"
-                                                           : "dense"}});
-    const numeric::NumericStats nstats =
-        device_replay_.has_value()
-            ? numeric::factorize_replay(device_, skeleton_,
-                                        artifacts_.schedule, plan_, replay_,
-                                        *device_replay_, nopt)
-        : artifacts_.use_sparse_numeric
-            ? numeric::factorize_sparse_bsearch(device_, skeleton_,
-                                                artifacts_.schedule, nopt,
-                                                &plan_)
-            : numeric::factorize_dense_window(device_, skeleton_,
-                                              artifacts_.schedule, nopt,
-                                              &plan_);
-    rep.numeric.ops = nstats.ops;
-  } catch (const Error&) {
-    // A zero pivot under the cached permutations — or a device fault
-    // (OOM, lost launch): either way the values left in the skeleton are
-    // partial, so the fallback rebuilds everything through the full
-    // pipeline, whose own recovery loops then handle the cause.
-    if (!ropt_.auto_fallback) throw;
+    TRACE_SPAN("refactor.numeric", device_);
+    num = SparseLU(options_).refactorize(
+        device_, artifacts_, replay_,
+        device_replay_.has_value() ? &*device_replay_ : nullptr,
+        [&](numeric::FactorMatrix&) { scatter(a_new); });
+  } catch (const FactorError&) {
+    // The retry budget is spent (or recovery is off): the values left in
+    // As are partial, so the fallback rebuilds everything through the
+    // full pipeline, whose own recovery then handles the cause.
     return fall_back(a_new, "numeric failure (zero pivot or device fault)",
-                     rep,
-                     /*pattern_rebuild=*/false);
+                     rep);
   }
-  rep.numeric.sim_us = device_.stats().sim_total_us() - sim_before_num;
-  rep.numeric.wall_ms = t_num.millis();
+  // Launches stay out of the report: callers add the call's device
+  // launches (`device`) on top of it.
+  rep.numeric.sim_us = num.numeric.sim_us;
+  rep.numeric.ops = num.numeric.ops;
+  rep.numeric.wall_ms = num.numeric.wall_ms;
+  rep.recovery_retries = num.recovery_retries;
 
   // ---- Stability monitor: element growth and smallest pivot of the
-  // static-pivot elimination under the *cached* permutations.
+  // static-pivot elimination under the *cached* permutations. A perturbed
+  // pivot trips it too: those factors are of another matrix.
+  const numeric::FactorMatrix& m = artifacts_.matrix;
   double max_abs_as = 0;
   bool finite = true;
-  for (const value_t v : skeleton_.csc.values) {
+  for (const value_t v : m.csc.values) {
     const double av = std::abs(static_cast<double>(v));
     finite = finite && std::isfinite(av);
     max_abs_as = std::max(max_abs_as, av);
   }
   double min_pivot = std::numeric_limits<double>::infinity();
   for (index_t j = 0; j < a_new.n; ++j) {
-    min_pivot = std::min(min_pivot,
-                         std::abs(static_cast<double>(
-                             skeleton_.csc.values[skeleton_.diag_pos[j]])));
+    min_pivot = std::min(
+        min_pivot, std::abs(static_cast<double>(m.csc.values[m.diag_pos[j]])));
   }
   rep.pivot_growth = max_abs_a == 0
                          ? std::numeric_limits<double>::infinity()
                          : max_abs_as / max_abs_a;
   rep.min_pivot = min_pivot;
-  const bool unstable = !finite ||
-                        rep.pivot_growth > ropt_.max_pivot_growth ||
-                        min_pivot < ropt_.min_pivot_ratio * max_abs_a;
-  if (unstable) {
-    E2ELU_CHECK_MSG(ropt_.auto_fallback,
-                    "refactorize: stability monitor tripped (pivot growth "
-                        << rep.pivot_growth << ", smallest pivot "
-                        << min_pivot
-                        << ") and auto_fallback is disabled");
-    return fall_back(a_new, "stability monitor", rep,
-                     /*pattern_rebuild=*/false);
+  if (!finite || num.pivot_perturbations > 0 ||
+      rep.pivot_growth > ropt_.max_pivot_growth ||
+      min_pivot < ropt_.min_pivot_ratio * max_abs_a) {
+    return fall_back(a_new, "stability monitor", rep);
   }
 
-  numeric::extract_lu(skeleton_, factors_.l, factors_.u);
+  numeric::extract_lu(m, factors_.l, factors_.u);
   factors_.numeric = rep.numeric;
   rep.reused = true;
   rep.device = device_.stats().since(dev_before);

@@ -3,31 +3,26 @@
 // does not — the paper's motivating SPICE workload (one Newton/transient
 // step per matrix) and GLU3.0's core re-factorization mode.
 //
-// A Refactorizer is constructed from one full SparseLU::factorize run and
-// caches everything value-independent: the row/column permutations, the
-// filled L+U pattern with its CSR/CSC skeleton and position maps, the
-// level schedule with its A/B/C classification and warp efficiencies, the
-// numeric-format decision, and the device-resident structure buffers.
-// refactorize(a_new) then validates that a_new's pattern matches, scatters
-// the new values through the cached permutations into the cached skeleton,
-// re-uploads only the values array, and re-runs *only* the numeric phase —
-// no preprocessing search, no symbolic factorization, no levelization.
+// A Refactorizer is built from one full SparseLU::factorize run and keeps
+// what that run built for its numeric stage (FactorizationArtifacts) plus
+// the permutations. refactorize(a_new) scatters the new values through the
+// cached permutations into As, re-uploads only the values array, and runs
+// only the pipeline's numeric stage (SparseLU::refactorize) — no
+// preprocessing, symbolic factorization or levelization. Faults there get
+// the pipeline's own recovery.
 //
-// The reuse path also carries a replay plan (cuSOLVER-rf / NICSLU style):
-// the exact destination of every sub-column update, resolved host-side
-// once per pattern. With positions precomputed, the numeric phase needs
-// neither the dense scatter window nor Algorithm 6's binary search — each
-// level runs a div kernel plus one flat grid of sub-column update blocks
-// (see numeric::factorize_replay), so the engine always prefers it over
-// the cached one-shot format decision. The O(flops) task array lives in
-// device memory when it fits and in unified (managed) memory otherwise;
-// only when even the O(fill) per-sub-column arrays cannot fit does the
-// engine drop back to the discovery-mode executor.
+// The engine owns the value map and scatter, the stability monitor, and
+// the residency of the replay plan (cuSOLVER-rf / NICSLU style: the exact
+// destination of every sub-column update, resolved once per pattern),
+// which the numeric stage runs as its third format. The O(flops) task
+// array lives in device memory when it fits and in unified (managed)
+// memory otherwise; when not even the O(fill) per-sub-column arrays fit,
+// the stage runs the cached one-shot format.
 //
 // Static-pivot safety: the cached permutations were chosen for the
 // original values, so each refactorization is monitored (pivot growth,
-// smallest pivot). Past the configured thresholds — or on a numeric
-// failure such as an exactly zero pivot — the engine falls back to a
+// smallest pivot, finiteness, perturbed pivots). Past the thresholds — or
+// when the stage's retry budget is spent — the engine falls back to a
 // fresh end-to-end factorization of the new matrix and refreshes every
 // cache, reporting the event in RefactorReport/RefactorStats.
 #pragma once
@@ -41,13 +36,6 @@
 
 namespace e2elu::refactor {
 
-/// What refactorize() does when the new matrix's sparsity pattern differs
-/// from the cached one.
-enum class MismatchPolicy {
-  Throw,        ///< reject with an error (treat as a caller bug)
-  Refactorize,  ///< transparently run a fresh full factorization
-};
-
 struct RefactorOptions {
   /// Fall back when max|As| over the factorized matrix exceeds this many
   /// times max|A| of the input (element growth of the static-pivot
@@ -55,10 +43,6 @@ struct RefactorOptions {
   double max_pivot_growth = 1e8;
   /// Fall back when the smallest |U(j,j)| drops below this times max|A|.
   double min_pivot_ratio = 1e-12;
-  /// When false, a stability violation (or numeric failure) throws
-  /// instead of silently re-running the full pipeline.
-  bool auto_fallback = true;
-  MismatchPolicy on_mismatch = MismatchPolicy::Throw;
 };
 
 /// Outcome of one refactorize() call.
@@ -69,9 +53,12 @@ struct RefactorReport {
   double pivot_growth = 0;  ///< max|As_factored| / max|A_input|
   double min_pivot = 0;     ///< smallest |U(j,j)| of the reuse attempt
   PhaseReport scatter;      ///< permuted value scatter + device upload
-  PhaseReport numeric;      ///< the re-run numeric phase
-  double fallback_sim_us = 0;      ///< full-pipeline time when fell_back
-  gpusim::DeviceStats device;      ///< this call's device-counter deltas
+  /// The re-run numeric stage (launch count left 0: the call's device
+  /// launches are in `device`).
+  PhaseReport numeric;
+  index_t recovery_retries = 0;  ///< numeric retries taken in place
+  double fallback_sim_us = 0;    ///< full-pipeline time when fell_back
+  gpusim::DeviceStats device;    ///< this call's device-counter deltas
   double total_sim_us() const {
     return scatter.sim_us + numeric.sim_us + fallback_sim_us;
   }
@@ -82,7 +69,6 @@ struct RefactorStats {
   std::uint64_t calls = 0;
   std::uint64_t reused = 0;               ///< numeric-only successes
   std::uint64_t stability_fallbacks = 0;  ///< pivot monitor / numeric failure
-  std::uint64_t pattern_rebuilds = 0;     ///< mismatch-triggered refreshes
   double reused_sim_us = 0;    ///< total simulated time on the reuse path
   double fallback_sim_us = 0;  ///< total simulated time in fallbacks
   RefactorReport last;
@@ -96,8 +82,8 @@ class Refactorizer {
                         RefactorOptions refactor_options = {});
 
   /// Re-factorizes a same-pattern matrix through the cached pipeline
-  /// state. On fallback (stability or, under MismatchPolicy::Refactorize,
-  /// a pattern change) the cache is refreshed from a_new.
+  /// state; throws if the pattern differs. On fallback the cache is
+  /// refreshed from a_new.
   RefactorReport refactorize(const Csr& a_new);
 
   /// The current factors; updated in place by every refactorize() call,
@@ -109,7 +95,7 @@ class Refactorizer {
   gpusim::Device& device() { return device_; }
 
   /// Exact device-resident bytes this cache pins between calls: the
-  /// structure + value buffers of the skeleton plus the replay task list
+  /// structure + value buffers of As plus the replay task list
   /// (device-memory portion only — a managed-memory task array pages in
   /// and out on demand and pins nothing). This is the cost signal an LRU
   /// evictor charges a cached plan with; it equals the device's
@@ -119,8 +105,12 @@ class Refactorizer {
 
  private:
   void rebuild(const Csr& a);
+  /// Writes a's values into As through the cached maps (fill-in zeroed,
+  /// zero diagonals patched) and uploads them; returns max|As| of the
+  /// scattered values.
+  double scatter(const Csr& a);
   RefactorReport fall_back(const Csr& a_new, const char* reason,
-                           RefactorReport rep, bool pattern_rebuild);
+                           RefactorReport rep);
 
   Options options_;
   RefactorOptions ropt_;
@@ -129,8 +119,6 @@ class Refactorizer {
   Csr base_pattern_;  ///< input pattern the cache was built for (no values)
   FactorResult factors_;
   FactorizationArtifacts artifacts_;
-  numeric::FactorMatrix skeleton_;
-  numeric::LevelPlan plan_;
   numeric::ReplayPlan replay_;
   /// a.values position -> cached CSC position, through the permutations.
   std::vector<offset_t> value_map_;

@@ -6,9 +6,18 @@
 // the level-scheduled triangular solvers with the factorization's row and
 // column permutations and equilibration scales, so `solve(b)` answers the
 // *original* system A x = b.
+//
+// Batched multi-RHS solves: the level schedule and its clustering are
+// properties of the factor pattern alone, so B right-hand sides sweep
+// every cluster together with a grid of (cluster rows x B) blocks. Launch
+// overhead per RHS collapses by a factor of B while the per-(row, rhs)
+// arithmetic is exactly the one-RHS kernel's, so results are
+// bit-identical to B independent solve() calls. A block of B right-hand
+// sides is a column-major n x B array, column r at [r*n, (r+1)*n).
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -128,6 +137,14 @@ class PipelineSolver {
     }
     if (report != nullptr) *report = rep;
     return x;
+  }
+
+  /// Kernel launches one solve_many() performs, whatever `num_rhs` is:
+  /// one per cluster per factor (the permutations and scaling are
+  /// host-side).
+  std::uint64_t launches_per_batch() const {
+    return static_cast<std::uint64_t>(lu_.lower().num_clusters()) +
+           static_cast<std::uint64_t>(lu_.upper().num_clusters());
   }
 
   const LuSolver& lu() const { return lu_; }

@@ -9,6 +9,27 @@
 
 namespace e2elu::solve {
 
+namespace {
+
+/// Wraps a device fault into FactorError, so callers can match on the
+/// structured kind/phase instead of parsing gpusim messages. Anything else
+/// (singular diagonal, shape misuse) keeps its type.
+std::exception_ptr structured(std::exception_ptr error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const gpusim::OutOfDeviceMemory& e) {
+    return std::make_exception_ptr(
+        FactorError(FaultKind::DeviceOutOfMemory, "solve", e.what()));
+  } catch (const gpusim::LaunchFailure& e) {
+    return std::make_exception_ptr(
+        FactorError(FaultKind::LaunchFailed, "solve", e.what()));
+  } catch (...) {
+    return error;
+  }
+}
+
+}  // namespace
+
 SolverService::SolverService(gpusim::Device& device,
                              const FactorResult& factorization,
                              SolverServiceOptions options)
@@ -16,7 +37,6 @@ SolverService::SolverService(gpusim::Device& device,
       n_(static_cast<std::size_t>(factorization.n)),
       factors_(factorization),
       solver_(device, factors_),
-      batched_(solver_),
       device_(&device),
       queue_(options.max_queue) {
   E2ELU_CHECK_MSG(opt_.max_batch >= 1, "max_batch must be at least 1");
@@ -102,46 +122,24 @@ void SolverService::run_batch(std::vector<Request> batch) {
   for (std::size_t r = 0; r < batch.size(); ++r) {
     std::copy(batch[r].b.begin(), batch[r].b.end(), block.begin() + r * n);
   }
+  std::vector<value_t> x;
+  std::exception_ptr error;
   try {
     std::lock_guard<std::mutex> solve_lock(solve_mutex_);
     TRACE_SPAN("solve.service.batch", *device_,
                {{"rhs", num_rhs}, {"n", solver_.factorization().n}});
-    const std::vector<value_t> x = batched_.solve_many(block, num_rhs);
-    for (std::size_t r = 0; r < batch.size(); ++r) {
-      batch[r].promise.set_value(std::vector<value_t>(
-          x.begin() + static_cast<std::ptrdiff_t>(r * n),
-          x.begin() + static_cast<std::ptrdiff_t>((r + 1) * n)));
-    }
+    x = solver_.solve_many(block, num_rhs);
   } catch (...) {
     // A singular diagonal (or any solver failure) fails the whole batch:
     // every caller in it sees the exception through its future. The
-    // service itself survives — later batches solve normally. Device
-    // faults are wrapped into FactorError so callers can match on the
-    // structured kind/phase instead of parsing gpusim messages.
-    std::exception_ptr error = std::current_exception();
-    try {
-      std::rethrow_exception(error);
-    } catch (const FactorError&) {
-      // Already structured; pass through unchanged.
-    } catch (const gpusim::OutOfDeviceMemory& e) {
-      error = std::make_exception_ptr(
-          FactorError(FaultKind::DeviceOutOfMemory, "solve", e.what()));
-    } catch (const gpusim::LaunchFailure& e) {
-      error = std::make_exception_ptr(
-          FactorError(FaultKind::LaunchFailed, "solve", e.what()));
-    } catch (...) {
-      // Anything else (singular diagonal, shape misuse) keeps its type.
-    }
-    for (Request& req : batch) req.promise.set_exception(error);
-    trace::MetricsRegistry::global()
-        .counter("solver_service.batch_failures")
-        .add(1);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.batch_failures;
+    // service itself survives — later batches solve normally.
+    error = structured(std::current_exception());
   }
 
+  // Count the batch before any of its futures resolves, so a client whose
+  // last future is ready reads stats() that include its batch.
   const std::uint64_t saved =
-      (static_cast<std::uint64_t>(num_rhs) - 1) * batched_.launches_per_batch();
+      (static_cast<std::uint64_t>(num_rhs) - 1) * solver_.launches_per_batch();
   auto& registry = trace::MetricsRegistry::global();
   registry.histogram("solver_service.batch_solve_us")
       .record(trace::Tracer::instance().now_us() - popped_us);
@@ -149,10 +147,25 @@ void SolverService::run_batch(std::vector<Request> batch) {
       .record(static_cast<double>(num_rhs));
   registry.counter("solver_service.launches_saved").add(saved);
   registry.counter("solver_service.batches").add(1);
+  if (error) registry.counter("solver_service.batch_failures").add(1);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.batches;
     stats_.launches_saved += saved;
+    if (error) ++stats_.batch_failures;
+  }
+
+  for (std::size_t r = 0; r < batch.size(); ++r) {
+    if (error) {
+      batch[r].promise.set_exception(error);
+    } else {
+      batch[r].promise.set_value(std::vector<value_t>(
+          x.begin() + static_cast<std::ptrdiff_t>(r * n),
+          x.begin() + static_cast<std::ptrdiff_t>((r + 1) * n)));
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
     // Requests resolve exactly here (value or exception), so this is the
     // one place pending work retires.
     pending_ -= batch.size();

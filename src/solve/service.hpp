@@ -4,8 +4,8 @@
 // Many-client workloads (a transient simulator's measurement threads, an
 // inference-style request stream) produce right-hand sides one at a time
 // from many threads, but the device amortizes launch overhead only when
-// right-hand sides sweep the levels together (solve/batched.hpp). The
-// service bridges the two: callers submit() single vectors and get
+// right-hand sides sweep the levels together (PipelineSolver::solve_many).
+// The service bridges the two: callers submit() single vectors and get
 // futures; a drainer thread coalesces waiting requests into micro-batches
 // of up to max_batch, lingering at most max_wait_us after the first
 // arrival, and solves each batch with one level sweep. Results are
@@ -34,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "solve/batched.hpp"
 #include "solve/pipeline_solver.hpp"
 #include "support/bounded_queue.hpp"
 
@@ -126,7 +125,6 @@ class SolverService {
   /// under solve_mutex_. Declared before solver_ (initialization order).
   FactorResult factors_;
   PipelineSolver solver_;
-  BatchedPipelineSolver batched_;
   gpusim::Device* device_;
 
   /// Admission door: bounded (backpressure), FIFO (priority 0), closed at

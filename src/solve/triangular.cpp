@@ -1,7 +1,6 @@
 #include "solve/triangular.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 
 #include "scheduling/ready_flags.hpp"
@@ -9,16 +8,6 @@
 #include "trace/trace.hpp"
 
 namespace e2elu::solve {
-
-namespace {
-
-double vector_norm(std::span<const value_t> v) {
-  double acc = 0;
-  for (value_t x : v) acc += static_cast<double>(x) * x;
-  return std::sqrt(acc);
-}
-
-}  // namespace
 
 TriangularSolver::TriangularSolver(gpusim::Device& device, const Csr& factor,
                                    bool lower)
@@ -281,35 +270,6 @@ std::vector<value_t> LuSolver::solve(std::span<const value_t> b) const {
   lower_.solve(x);
   upper_.solve(x);
   return x;
-}
-
-std::vector<double> refine(const Csr& a, const LuSolver& solver,
-                           std::span<const value_t> b,
-                           std::vector<value_t>& x, int max_iters,
-                           double tol) {
-  E2ELU_CHECK(b.size() == static_cast<std::size_t>(a.n));
-  x = solver.solve(b);
-  std::vector<double> history;
-  std::vector<value_t> r(static_cast<std::size_t>(a.n));
-  const double bnorm = vector_norm(b);
-  for (int iter = 0; iter < max_iters; ++iter) {
-    // r = b - A x.
-    for (index_t i = 0; i < a.n; ++i) {
-      value_t acc = b[i];
-      const auto cols = a.row_cols(i);
-      const auto vals = a.row_vals(i);
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        acc -= vals[k] * x[cols[k]];
-      }
-      r[i] = acc;
-    }
-    const double rel = bnorm == 0 ? vector_norm(r) : vector_norm(r) / bnorm;
-    history.push_back(rel);
-    if (rel < tol) break;
-    const std::vector<value_t> dx = solver.solve(r);
-    for (index_t i = 0; i < a.n; ++i) x[i] += dx[i];
-  }
-  return history;
 }
 
 }  // namespace e2elu::solve

@@ -1,5 +1,4 @@
-// Level-scheduled sparse triangular solves on the simulated device, plus
-// iterative refinement.
+// Level-scheduled sparse triangular solves on the simulated device.
 //
 // The paper's pipeline ends at numeric factorization, but its premise —
 // "a complete sparse LU factorization workflow on a GPU" — implies the
@@ -154,14 +153,5 @@ class LuSolver {
   TriangularSolver lower_;
   TriangularSolver upper_;
 };
-
-/// Iterative refinement: improves x for A x = b using the (possibly
-/// lower-accuracy) factorization-based solver. Returns the relative
-/// residual history, one entry per iteration (including the initial
-/// solve). Stops early below `tol`.
-std::vector<double> refine(const Csr& a, const LuSolver& solver,
-                           std::span<const value_t> b,
-                           std::vector<value_t>& x, int max_iters = 5,
-                           double tol = 1e-14);
 
 }  // namespace e2elu::solve

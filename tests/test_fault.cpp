@@ -17,6 +17,7 @@
 #include "core/sparse_lu.hpp"
 #include "fault/fault.hpp"
 #include "matrix/generators.hpp"
+#include "refactor/refactor.hpp"
 #include "sharding/sharded_factorizer.hpp"
 #include "solve/service.hpp"
 #include "support/rng.hpp"
@@ -362,6 +363,83 @@ TEST(FaultRecovery, DenseWindowShortfallFallsBackToSparse) {
     EXPECT_EQ(e.kind(), FaultKind::DeviceOutOfMemory);
     EXPECT_EQ(e.phase(), "numeric");
   }
+}
+
+bool same_bits(const std::vector<value_t>& x, const std::vector<value_t>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(value_t)) == 0;
+}
+
+TEST(FaultRefactor, ReplayLaunchFailureRetriesInPlace) {
+  // A lost replay launch is retried inside the numeric stage: no rebuild,
+  // the failed attempt billed, and on one worker the factors are
+  // memcmp-equal to an uninjected replay's.
+  const Csr a = campaign_matrix();
+  const Csr a_t = gen_value_drift(a, 0.05, 1);
+  ThreadPool pool(1);
+  Options opt = campaign_options();
+  opt.pool = &pool;
+  refactor::Refactorizer clean(a, opt);
+  const refactor::RefactorReport reference = clean.refactorize(a_t);
+  ASSERT_TRUE(reference.reused);
+
+  refactor::Refactorizer refac(a, opt);
+  auto& retries =
+      trace::MetricsRegistry::global().counter("recovery.launch_retry");
+  const std::uint64_t retries_before = retries.value();
+  refactor::RefactorReport rep;
+  {
+    fault::ScopedPlan plan("launch=replay_update@3");
+    rep = refac.refactorize(a_t);
+    EXPECT_EQ(fault::Injector::instance().events().size(), 1u);
+  }
+  EXPECT_TRUE(rep.reused);
+  EXPECT_FALSE(rep.fell_back);
+  EXPECT_EQ(refac.stats().stability_fallbacks, 0u);
+  EXPECT_EQ(rep.recovery_retries, 1);
+  EXPECT_EQ(retries.value() - retries_before, 1u);
+  EXPECT_GT(rep.numeric.sim_us, reference.numeric.sim_us);
+  EXPECT_TRUE(same_bits(refac.factors().l.values, clean.factors().l.values));
+  EXPECT_TRUE(same_bits(refac.factors().u.values, clean.factors().u.values));
+
+  // With recovery off the first fault spends the budget: the call falls
+  // back to a fresh build, as every fault did before the shared policy.
+  opt.recovery.enabled = false;
+  refactor::Refactorizer strict(a, opt);
+  {
+    fault::ScopedPlan plan("launch=replay_update@3");
+    rep = strict.refactorize(a_t);
+  }
+  EXPECT_TRUE(rep.fell_back);
+  EXPECT_EQ(strict.stats().stability_fallbacks, 1u);
+  const std::vector<value_t> b = rhs(a.n, 9);
+  EXPECT_LT(SparseLU::residual(a_t, SparseLU::solve(strict.factors(), b), b),
+            1e-8);
+}
+
+TEST(FaultRefactor, PersistentZeroPivotFallsBackThroughTheMonitor) {
+  // The shared zero-pivot policy retries, then perturbs; factors of a
+  // perturbed matrix trip the stability monitor, which rebuilds from the
+  // true values.
+  const Csr a = campaign_matrix();
+  const Csr a_t = gen_value_drift(a, 0.05, 2);
+  ThreadPool pool(1);
+  Options opt = campaign_options();
+  opt.pool = &pool;
+  refactor::Refactorizer refac(a, opt);
+  refactor::RefactorReport rep;
+  {
+    fault::ScopedPlan plan("pivot_zero=7; pivot_zero=7");
+    rep = refac.refactorize(a_t);
+  }
+  EXPECT_FALSE(rep.reused);
+  EXPECT_TRUE(rep.fell_back);
+  EXPECT_STREQ(rep.fallback_reason, "stability monitor");
+  EXPECT_EQ(rep.recovery_retries, 2);
+  EXPECT_EQ(refac.stats().stability_fallbacks, 1u);
+  const std::vector<value_t> b = rhs(a.n, 13);
+  EXPECT_LT(SparseLU::residual(a_t, SparseLU::solve(refac.factors(), b), b),
+            1e-8);
 }
 
 TEST(FaultInjector, UmFaultCostInflatesSimulatedFaultTime) {

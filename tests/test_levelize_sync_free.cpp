@@ -290,7 +290,7 @@ TEST(SyncFreeLevelize, PipelineLevelizesInTwoHostLaunches) {
     EXPECT_EQ(res.device_stats.device_launches, 0u) << fixture_name(kind);
     expect_same_schedule(artifacts.schedule,
                          levelize_sequential(build_dependency_graph(
-                             artifacts.filled, opt.dependency_rule)));
+                             artifacts.matrix.pattern, opt.dependency_rule)));
   }
 }
 

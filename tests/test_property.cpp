@@ -134,8 +134,8 @@ std::optional<std::string> check_case(std::uint64_t seed, index_t n) {
 
   // Property 1: fill oracle.
   const symbolic::SymbolicResult oracle = symbolic::symbolic_reference(spec.a);
-  if (artifacts.filled.row_ptr != oracle.filled.row_ptr ||
-      artifacts.filled.col_idx != oracle.filled.col_idx) {
+  if (artifacts.matrix.pattern.row_ptr != oracle.filled.row_ptr ||
+      artifacts.matrix.pattern.col_idx != oracle.filled.col_idx) {
     return "filled pattern diverges from the sequential reference";
   }
 

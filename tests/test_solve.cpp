@@ -1,4 +1,4 @@
-// Level-scheduled triangular solves and iterative refinement.
+// Level-scheduled triangular solves and the pipeline solver.
 
 #include <gtest/gtest.h>
 
@@ -89,37 +89,6 @@ TEST(TriangularSolver, SolvesRunLevelParallelKernels) {
                                        solver.upper().num_clusters()));
   EXPECT_LT(solver.lower().num_clusters(), solver.lower().num_levels());
   EXPECT_LT(solver.upper().num_clusters(), solver.upper().num_levels());
-}
-
-TEST(Refine, DrivesResidualDown) {
-  Csr a = gen_banded(300, 8, 5.0, 51);
-  Factored fx = factor(a);
-  gpusim::Device dev(gpusim::DeviceSpec::v100_with_memory(64u << 20));
-  const LuSolver solver(dev, fx.f.l, fx.f.u);
-
-  // Perturb the factors slightly so refinement has work to do.
-  Csr l_bad = fx.f.l, u_bad = fx.f.u;
-  for (auto& v : u_bad.values) v *= (1.0 + 1e-4);
-  const LuSolver sloppy(dev, l_bad, u_bad);
-
-  const std::vector<value_t> b = rhs(a.n, 5);
-  std::vector<value_t> x;
-  const std::vector<double> history = refine(fx.a, sloppy, b, x, 10, 1e-13);
-  ASSERT_GE(history.size(), 2u);
-  EXPECT_LT(history.back(), history.front());
-  EXPECT_LT(history.back(), 1e-10);
-  EXPECT_LT(SparseLU::residual(fx.a, x, b), 1e-10);
-}
-
-TEST(Refine, ConvergedSystemStopsEarly) {
-  Csr a = gen_banded(150, 6, 4.0, 61);
-  Factored fx = factor(a);
-  gpusim::Device dev(gpusim::DeviceSpec::v100_with_memory(64u << 20));
-  const LuSolver solver(dev, fx.f.l, fx.f.u);
-  std::vector<value_t> x;
-  const std::vector<double> history =
-      refine(fx.a, solver, rhs(a.n, 6), x, 10, 1e-12);
-  EXPECT_LE(history.size(), 3u);  // exact factors: immediate convergence
 }
 
 TEST(TriangularSolver, RejectsMissingDiagonal) {

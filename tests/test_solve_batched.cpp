@@ -1,4 +1,4 @@
-// Batched multi-RHS triangular solves (solve/batched.hpp) and the
+// Batched multi-RHS triangular solves (solve_many) and the
 // micro-batching SolverService (solve/service.hpp): bit-exact equivalence
 // with the sequential solve path, per-(row, rhs) ops accounting, launch
 // amortization, producer/rebind concurrency, and the solve_refined
@@ -12,7 +12,7 @@
 
 #include "core/sparse_lu.hpp"
 #include "matrix/generators.hpp"
-#include "solve/batched.hpp"
+#include "solve/pipeline_solver.hpp"
 #include "solve/service.hpp"
 #include "support/rng.hpp"
 
@@ -64,11 +64,10 @@ TEST_P(BatchedSweep, SolveManyIsBitIdenticalToLoopedSolve) {
   const FactorResult f = SparseLU(opt).factorize(a);
   gpusim::Device dev(opt.device);
   const PipelineSolver solver(dev, f);
-  const BatchedPipelineSolver batched(solver);
 
   for (const index_t num_rhs : {1, 3, 8}) {
     const std::vector<value_t> block = rhs_block(a.n, num_rhs, 70);
-    const std::vector<value_t> x = batched.solve_many(block, num_rhs);
+    const std::vector<value_t> x = solver.solve_many(block, num_rhs);
     ASSERT_EQ(x.size(), block.size());
     for (index_t r = 0; r < num_rhs; ++r) {
       const std::vector<value_t> x_seq = solver.solve(column(block, a.n, r));
@@ -89,11 +88,10 @@ TEST(BatchedPipelineSolver, BatchWiderThanMatrixOrder) {
   const FactorResult f = SparseLU(opt).factorize(a);
   gpusim::Device dev(opt.device);
   const PipelineSolver solver(dev, f);
-  const BatchedPipelineSolver batched(solver);
 
   const index_t num_rhs = a.n + 5;  // B > n: more columns than rows
   const std::vector<value_t> block = rhs_block(a.n, num_rhs, 90);
-  const std::vector<value_t> x = batched.solve_many(block, num_rhs);
+  const std::vector<value_t> x = solver.solve_many(block, num_rhs);
   for (index_t r = 0; r < num_rhs; ++r) {
     const std::vector<value_t> x_seq = solver.solve(column(block, a.n, r));
     for (index_t i = 0; i < a.n; ++i) {
@@ -108,9 +106,8 @@ TEST(BatchedPipelineSolver, EmptyBatchIsANoop) {
   const FactorResult f = SparseLU(opt).factorize(a);
   gpusim::Device dev(opt.device);
   const PipelineSolver solver(dev, f);
-  const BatchedPipelineSolver batched(solver);
   const auto launches_before = dev.stats().host_launches;
-  EXPECT_TRUE(batched.solve_many({}, 0).empty());
+  EXPECT_TRUE(solver.solve_many({}, 0).empty());
   EXPECT_EQ(dev.stats().host_launches, launches_before);
 }
 
@@ -132,10 +129,9 @@ TEST(BatchedTriangularSolver, OpsCountOncePerRowAndRhs) {
   const std::uint64_t ops_one = lower.ops();
   ASSERT_GT(ops_one, 0u);
 
-  const BatchedTriangularSolver batched(lower);
   const index_t num_rhs = 5;
   std::vector<value_t> block = rhs_block(a.n, num_rhs, 33);
-  batched.solve_many(block, num_rhs);
+  lower.solve_many(block, num_rhs);
   EXPECT_EQ(lower.ops() - ops_one,
             static_cast<std::uint64_t>(num_rhs) * ops_one);
 }
@@ -146,19 +142,18 @@ TEST(BatchedPipelineSolver, OneLaunchPerClusterRegardlessOfBatchWidth) {
   const FactorResult f = SparseLU(opt).factorize(a);
   gpusim::Device dev(opt.device);
   const PipelineSolver solver(dev, f);
-  const BatchedPipelineSolver batched(solver);
 
   const index_t num_rhs = 16;
   const std::vector<value_t> block = rhs_block(a.n, num_rhs, 51);
 
   const auto before = dev.snapshot();
-  (void)batched.solve_many(block, num_rhs);
+  (void)solver.solve_many(block, num_rhs);
   const auto batch_delta = dev.stats().since(before);
-  EXPECT_EQ(batch_delta.host_launches, batched.launches_per_batch());
-  EXPECT_EQ(batched.launches_per_batch(),
+  EXPECT_EQ(batch_delta.host_launches, solver.launches_per_batch());
+  EXPECT_EQ(solver.launches_per_batch(),
             static_cast<std::uint64_t>(solver.lu().lower().num_clusters() +
                                        solver.lu().upper().num_clusters()));
-  EXPECT_LT(batched.launches_per_batch(),
+  EXPECT_LT(solver.launches_per_batch(),
             static_cast<std::uint64_t>(solver.lu().lower().num_levels() +
                                        solver.lu().upper().num_levels()));
 
@@ -168,7 +163,7 @@ TEST(BatchedPipelineSolver, OneLaunchPerClusterRegardlessOfBatchWidth) {
   }
   const auto seq_delta = dev.stats().since(before_seq);
   EXPECT_EQ(seq_delta.host_launches,
-            static_cast<std::uint64_t>(num_rhs) * batched.launches_per_batch());
+            static_cast<std::uint64_t>(num_rhs) * solver.launches_per_batch());
   // Same per-(row,rhs) work, 1/num_rhs the launch overhead.
   EXPECT_EQ(batch_delta.kernel_ops, seq_delta.kernel_ops);
   EXPECT_LT(batch_delta.sim_launch_us, seq_delta.sim_launch_us / 8);
@@ -311,6 +306,30 @@ TEST(SolverService, BoundedQueueDrainsEverythingUnderPressure) {
     for (index_t i = 0; i < a.n; ++i) ASSERT_EQ(x[i], expected[i]);
   }
   EXPECT_LE(service.stats().max_queue_depth, 2u);
+}
+
+TEST(SolverService, StatsCountEveryBatchBeforeItsFuturesResolve) {
+  // A client whose future has resolved must read stats() that include its
+  // batch: the service counts a batch before resolving any of its futures.
+  // A fresh service per round puts each batch on a new drainer thread,
+  // whose first metric records are its slowest.
+  const Csr a = gen_banded(40, 3, 4.0, 93);
+  const Options opt = pipeline_options();
+  const FactorResult f = SparseLU(opt).factorize(a);
+  gpusim::Device dev(opt.device);
+  SolverServiceOptions sopt;
+  sopt.max_batch = 4;
+  sopt.max_wait_us = 0;
+  const std::vector<value_t> b = rhs(a.n, 97);
+  for (int round = 0; round < 300; ++round) {
+    SolverService service(dev, f, sopt);
+    (void)service.submit(b).get();
+    const SolverServiceStats s = service.stats();
+    ASSERT_EQ(s.requests, 1u) << "round " << round;
+    ASSERT_EQ(s.batches, 1u) << "round " << round;
+    ASSERT_LE(s.mean_batch(), static_cast<double>(sopt.max_batch))
+        << "round " << round;
+  }
 }
 
 TEST(SolverService, RejectsWrongSizeRhs) {

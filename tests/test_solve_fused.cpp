@@ -14,7 +14,7 @@
 #include "core/sparse_lu.hpp"
 #include "matrix/convert.hpp"
 #include "matrix/suite.hpp"
-#include "solve/batched.hpp"
+#include "solve/pipeline_solver.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/metrics.hpp"
@@ -115,8 +115,7 @@ TEST(FusedSolve, EquilibratedFactorsSolveExactlyLikeTheHost) {
       gpusim::Device dev(opt.device);
       dev.use_pool(pool);
       const PipelineSolver solver(dev, f);
-      const std::vector<value_t> x =
-          BatchedPipelineSolver(solver).solve_many(block, kRhs);
+      const std::vector<value_t> x = solver.solve_many(block, kRhs);
       for (index_t r = 0; r < kRhs; ++r) {
         const std::vector<value_t> b(
             block.begin() + static_cast<std::ptrdiff_t>(r) * e.matrix.n,
@@ -159,15 +158,14 @@ TEST(FusedSolve, BatchEqualsSingleSolvesAndCountsOpsPerRhs) {
   const std::uint64_t lower_one = lower.ops() - lo0;
   const std::uint64_t upper_one = upper.ops() - up0;
 
-  const BatchedPipelineSolver batched(solver);
   const std::uint64_t lo1 = lower.ops(), up1 = upper.ops();
   const gpusim::DeviceStats before = dev.snapshot();
-  const std::vector<value_t> x = batched.solve_many(block, kRhs);
+  const std::vector<value_t> x = solver.solve_many(block, kRhs);
   const gpusim::DeviceStats delta = dev.stats().since(before);
   EXPECT_EQ(lower.ops() - lo1, kRhs * lower_one);
   EXPECT_EQ(upper.ops() - up1, kRhs * upper_one);
-  EXPECT_EQ(delta.host_launches, batched.launches_per_batch());
-  EXPECT_EQ(batched.launches_per_batch(),
+  EXPECT_EQ(delta.host_launches, solver.launches_per_batch());
+  EXPECT_EQ(solver.launches_per_batch(),
             static_cast<std::uint64_t>(lower.num_clusters() +
                                        upper.num_clusters()));
   EXPECT_GT(delta.fused_launches, 0u);
