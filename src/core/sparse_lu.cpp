@@ -34,10 +34,6 @@ const char* mode_name(Mode mode) {
   return "?";
 }
 
-std::uint64_t launch_count(const gpusim::Device& dev) {
-  return dev.stats().host_launches + dev.stats().device_launches;
-}
-
 /// The single-device executor, and the library's one format dispatch:
 /// the dense window, the sparse binary search (Algorithm 6), or the
 /// replay task list. The level plan is built once, on the first run(),
@@ -115,7 +111,7 @@ class DeviceExecutor final : public NumericExecutor {
   }
 
   double clock_us() override { return dev_.stats().sim_total_us(); }
-  std::uint64_t launches() const override { return launch_count(dev_); }
+  std::uint64_t launches() const override { return dev_.stats().launches(); }
   bool sparse() const override { return sparse_; }
 
  private:
@@ -214,12 +210,12 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
       WallTimer t;
       const double sim0 = dev.stats().sim_total_us();
       const std::uint64_t ops0 = dev.stats().kernel_ops;
-      const std::uint64_t launches0 = launch_count(dev);
+      const std::uint64_t launches0 = dev.stats().launches();
       std::uint64_t serial_ops = 0;
       body(serial_ops);
       report.ops =
           serial_ops + (dev.stats().kernel_ops - ops0);
-      report.launches = launch_count(dev) - launches0;
+      report.launches = dev.stats().launches() - launches0;
       report.sim_us = (dev.stats().sim_total_us() - sim0) +
                       static_cast<double>(serial_ops) / host_thread_rate;
       report.wall_ms = t.millis();
@@ -295,7 +291,7 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
   // ---- Symbolic factorization (§3.2).
   WallTimer t_sym;
   double sim_before = dev.stats().sim_total_us();
-  std::uint64_t launches_before = launch_count(dev);
+  std::uint64_t launches_before = dev.stats().launches();
   symbolic::SymbolicResult sym;
   bool symbolic_on_device = options_.mode != Mode::CpuBaseline;
   bool stage1_reused = false;
@@ -361,7 +357,7 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
   }
   res.symbolic.wall_ms = t_sym.millis();
   res.symbolic.ops = sym.ops;
-  res.symbolic.launches = launch_count(dev) - launches_before;
+  res.symbolic.launches = dev.stats().launches() - launches_before;
   res.fill_nnz = sym.filled.nnz();
   res.symbolic_chunks = sym.num_chunks;
 
@@ -369,7 +365,7 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
   // cons_graph launch and any failed attempt count in each of them.
   WallTimer t_lvl;
   sim_before = dev.stats().sim_total_us();
-  launches_before = launch_count(dev);
+  launches_before = dev.stats().launches();
   const std::uint64_t ops_before_lvl = dev.stats().kernel_ops;
   const bool host_levelize = options_.mode == Mode::CpuBaseline;
   scheduling::DependencyGraph graph;
@@ -419,7 +415,7 @@ FactorResult SparseLU::factorize_impl(const Csr& a_in, gpusim::Device& dev,
     res.levelize.sim_us = dev.stats().sim_total_us() - sim_before;
   }
   res.levelize.wall_ms = t_lvl.millis();
-  res.levelize.launches = launch_count(dev) - launches_before;
+  res.levelize.launches = dev.stats().launches() - launches_before;
   res.num_levels = schedule.num_levels();
 
   // ---- Numeric factorization (§3.4), on the executor.

@@ -67,6 +67,8 @@ struct DeviceStats {
   /// when async launches overlap.
   double sim_elapsed_us = 0;
 
+  /// Every kernel launch: host-issued plus dynamic-parallelism children.
+  std::uint64_t launches() const { return host_launches + device_launches; }
   double sim_total_us() const {
     return sim_kernel_us + sim_launch_us + sim_transfer_us + sim_fault_us;
   }

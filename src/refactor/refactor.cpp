@@ -186,6 +186,8 @@ RefactorReport Refactorizer::refactorize(const Csr& a_new) {
 
   // ---- The pipeline's numeric stage on the cached artifacts; a retry
   // scatters (and uploads) the values again.
+  const gpusim::DeviceStats dev_numeric = device_.stats();
+  WallTimer t_numeric;
   FactorResult num;
   try {
     TRACE_SPAN("refactor.numeric", device_);
@@ -196,7 +198,12 @@ RefactorReport Refactorizer::refactorize(const Csr& a_new) {
   } catch (const FactorError&) {
     // The retry budget is spent (or recovery is off): the values left in
     // As are partial, so the fallback rebuilds everything through the
-    // full pipeline, whose own recovery then handles the cause.
+    // full pipeline, whose own recovery then handles the cause. The
+    // abandoned attempts are billed to the numeric stage all the same.
+    const gpusim::DeviceStats spent = device_.stats().since(dev_numeric);
+    rep.numeric.sim_us = spent.sim_total_us();
+    rep.numeric.ops = spent.kernel_ops;
+    rep.numeric.wall_ms = t_numeric.millis();
     return fall_back(a_new, "numeric failure (zero pivot or device fault)",
                      rep);
   }

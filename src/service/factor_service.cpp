@@ -14,10 +14,6 @@ namespace e2elu::service {
 
 namespace {
 
-std::uint64_t launches_of(const gpusim::DeviceStats& d) {
-  return d.host_launches + d.device_launches;
-}
-
 /// Accumulates this scope's wall time into one JobReport phase field —
 /// through exceptions too, so a failed build still attributes its time.
 class PhaseTimer {
@@ -329,10 +325,11 @@ JobResult FactorService::run_job(Job& job, std::size_t worker_id,
     r.cache_hit = true;
     r.replayed = rep.reused;
     r.demoted = rep.fell_back;
-    r.launches = launches_of(rep.device);
+    r.launches = rep.device.launches();
     r.sim_us = rep.total_sim_us();
     r.factors = entry->engine->factors();
     report.device = rep.device;
+    report.recovery_retries = rep.recovery_retries;
     if (rep.fell_back) {
       cache_.refresh_footprint(*entry);
       trace::MetricsRegistry::global().counter("service.demotions").add(1);
@@ -352,9 +349,14 @@ JobResult FactorService::run_job(Job& job, std::size_t worker_id,
   report.demoted = r.demoted;
   report.launches = r.launches;
   report.sim_us = r.sim_us;
-  report.symbolic_replans = r.factors.symbolic_replans;
-  report.pivot_perturbations = r.factors.pivot_perturbations;
-  report.recovery_retries = r.factors.recovery_retries;
+  if (!r.replayed) {
+    // Cold, sharded and demoted jobs report their build's counters. A
+    // reused replay keeps its own retries (the cached factors still carry
+    // the cold build's), and it neither replans nor perturbs.
+    report.symbolic_replans = r.factors.symbolic_replans;
+    report.pivot_perturbations = r.factors.pivot_perturbations;
+    report.recovery_retries = r.factors.recovery_retries;
+  }
   return r;
 }
 
@@ -432,7 +434,7 @@ JobResult FactorService::run_cold(Job& job, std::size_t worker_id,
 
   // Snapshot the result before the cache takes the engine: once inserted,
   // another worker may lock the entry and replay new values through it.
-  r.launches = launches_of(engine->factors().device_stats);
+  r.launches = engine->factors().device_stats.launches();
   r.sim_us = engine->factors().total_sim_us();
   r.factors = engine->factors();
   report.device = engine->factors().device_stats;
@@ -492,7 +494,7 @@ JobResult FactorService::run_sharded(Job& job, std::size_t worker_id,
   sharding::ShardReport srep;
   r.factors = engine.factorize(job.a, srep);
   r.sharded = true;
-  r.launches = launches_of(r.factors.device_stats);
+  r.launches = r.factors.device_stats.launches();
   r.sim_us = r.factors.total_sim_us();
   report.device = r.factors.device_stats;
   record_preprocess_breakdown(r.factors, report);

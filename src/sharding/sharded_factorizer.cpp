@@ -166,8 +166,7 @@ class GroupExecutor final : public NumericExecutor {
 
   double clock_us() override { return group_.synchronize(); }
   std::uint64_t launches() const override {
-    const gpusim::GroupStats g = group_.stats();
-    return g.devices.host_launches + g.devices.device_launches;
+    return group_.stats().devices.launches();
   }
   bool sparse() const override { return true; }
 

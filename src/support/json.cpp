@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 
 namespace e2elu::json {
@@ -181,6 +182,27 @@ Value parse_file(const std::string& path) {
   std::ostringstream buf;
   buf << is.rdbuf();
   return parse(buf.str());
+}
+
+void write_string(std::ostream& os, std::string_view s) {
+  os << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\r': os << "\\r"; break;
+      case '\t': os << "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
+             << "0123456789abcdef"[c & 0xf];
+        } else {
+          os << c;
+        }
+    }
+  }
+  os << '"';
 }
 
 }  // namespace e2elu::json

@@ -8,15 +8,20 @@
 // the JSON subset the repo's writers produce (objects, arrays, strings
 // with escapes, doubles, bools, null), with no external dependency.
 //
+// write_string is the matching writer's one string escaper, shared by
+// every JSON emitter so that what they write parses back here.
+//
 // Not a general-purpose library: numbers are doubles (fine for counters
 // below 2^53, which every emitter respects), object keys are unique, and
 // parse() throws e2elu::Error with an offset on malformed input.
 #pragma once
 
 #include <cstddef>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/check.hpp"
@@ -95,5 +100,10 @@ Value parse(const std::string& text);
 /// Reads and parses a JSON file; throws e2elu::Error when the file cannot
 /// be read or does not parse.
 Value parse_file(const std::string& path);
+
+/// Writes `s` as a quoted JSON string: `"`, `\`, newline, carriage
+/// return and tab escaped by name, any other byte below 0x20 as \u00XX,
+/// so one string never spans lines.
+void write_string(std::ostream& os, std::string_view s);
 
 }  // namespace e2elu::json

@@ -1,31 +1,42 @@
-// Out-of-core GPU symbolic factorization: Algorithm 3 (fixed chunks) and
-// Algorithm 4 (dynamic parallelism assignment).
+// The GPU symbolic factorization (§3.2): one two-stage skeleton and the
+// row runners that schedule it.
 //
-// Both drivers run the two-stage scheme: symbolic_1 counts each row's
-// fill, a device prefix sum sizes the CSR arrays, symbolic_2 writes the
-// positions. Rows are processed in chunks sized so that the per-row O(n)
-// traversal scratch fits in device memory:
-//     chunk_size = free_device_bytes / scratch_bytes_per_row(n).
-// Algorithm 4 additionally partitions rows at the point n1 where the
-// frontier first becomes "large" (>= 50% of the peak); rows below n1 use
-// queues bounded by the observed frontier (a much smaller footprint), so
-// their chunks — and with them the number of concurrently resident
-// thread blocks — are larger.
+// The skeleton (two_stage_symbolic) is the paper's scheme, written once:
+// symbolic_1 counts each row's fill, a device prefix sum sizes the CSR
+// arrays, symbolic_2 writes each row's positions and sorts them. Its stage
+// bodies are generic over the fill2 workspace, so a row runner supplies
+// only where the per-row O(n) traversal scratch lives and how rows are
+// scheduled — one launch per chunk of rows, or one launch for all:
+//
+//   Algorithm 3     every row in order, chunks sized so the scratch fits
+//                   in device memory:
+//                     chunk_size = free_device_bytes / scratch_bytes_per_row(n)
+//   Algorithm 4     rows split at the point n1 where the frontier first
+//                   becomes "large" (>= 50% of the peak); rows below n1 use
+//                   queues bounded by the observed frontier (a much smaller
+//                   footprint), so their chunks — and with them the number
+//                   of concurrently resident thread blocks — are larger
+//   unified memory  the full O(n^2) scratch as managed memory and every
+//                   row in one launch per stage (Figures 5/6, Table 3):
+//                   the capacity wall disappears from the code, and the
+//                   cost, which this runner measures rather than assumes,
+//                   is the page-fault traffic of irregular scratch accesses
 //
 // count_fill_out_of_core runs Algorithm 3's stage 1 alone: it is how the
 // parallel ordering's fill gate sizes nnz(L+U) of its candidates. The
-// drivers accept such counts back: handed the stage-1 counts of exactly
-// their input pattern, they upload them and skip symbolic_1.
+// chunked drivers accept such counts back: handed the stage-1 counts of
+// exactly their input pattern, they upload them and skip symbolic_1.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <optional>
 
 #include "gpusim/device_buffer.hpp"
+#include "gpusim/unified_buffer.hpp"
 #include "support/check.hpp"
-#include "support/timer.hpp"
 #include "symbolic/fill2.hpp"
 #include "symbolic/symbolic.hpp"
 #include "symbolic/workspace.hpp"
@@ -56,12 +67,11 @@ struct PassResult {
 /// `body(row, ws, ctx)` returns true if the row overflowed its bounded
 /// queues; such rows are appended to *overflow for reprocessing (must be
 /// non-null whenever qcap < n).
-PassResult chunked_pass(
-    gpusim::Device& dev, const Csr& a, std::span<const index_t> rows,
-    std::size_t qcap, double warp_eff, const char* name,
-    const std::function<bool(index_t, PlainWorkspace&,
-                             gpusim::KernelContext&)>& body,
-    std::vector<index_t>* overflow) {
+template <typename Body>
+PassResult chunked_pass(gpusim::Device& dev, const Csr& a,
+                        std::span<const index_t> rows, std::size_t qcap,
+                        double warp_eff, const char* name, const Body& body,
+                        std::vector<index_t>* overflow) {
   PassResult pr;
   if (rows.empty()) return pr;
   const index_t n = a.n;
@@ -125,20 +135,17 @@ PassResult chunked_pass(
   return pr;
 }
 
-/// Shared two-stage skeleton. `run_pass(stage_body, overflow)` is invoked
-/// once per stage and encapsulates the row partitioning strategy (fixed
-/// chunks vs Algorithm 4's two-part split).
-using StageBody = std::function<bool(index_t, PlainWorkspace&,
-                                     gpusim::KernelContext&)>;
-using PassRunner =
-    std::function<PassResult(const char*, const StageBody&)>;
+// The two-stage skeleton. A row runner `run_pass(kernel, body)` launches
+// `body(row, ws, ctx)` — generic over the workspace, true when the row
+// overflowed bounded queues — once for every row of one stage, and
+// returns the stage's chunking.
 
 /// Stage 1 (symbolic_1): every row's fill count into `counts`.
-PassResult count_stage(const Csr& a, const char* name,
-                       const PassRunner& run_pass,
+template <typename Runner>
+PassResult count_stage(const Csr& a, const char* kernel, Runner&& run_pass,
                        gpusim::DeviceBuffer<index_t>& counts) {
-  return run_pass(name, [&](index_t row, PlainWorkspace& ws,
-                            gpusim::KernelContext& ctx) {
+  return run_pass(kernel, [&](index_t row, auto& ws,
+                              gpusim::KernelContext& ctx) {
     const RowStats st = fill2_row(a, row, ws, [](index_t) {});
     if (st.overflow) return true;
     counts[static_cast<std::size_t>(row)] = st.fill_count;
@@ -149,14 +156,14 @@ PassResult count_stage(const Csr& a, const char* name,
 
 /// Algorithm 3's row schedule: every row in order, one block per row,
 /// full-size queues, chunks sized to the device's free memory.
-PassRunner all_rows_runner(gpusim::Device& dev, const Csr& a) {
+auto all_rows_runner(gpusim::Device& dev, const Csr& a) {
   std::vector<index_t> rows(static_cast<std::size_t>(a.n));
   std::iota(rows.begin(), rows.end(), 0);
   return [&dev, &a, rows = std::move(rows),
-          warp_eff = warp_eff_for(dev, a)](const char* name,
-                                           const StageBody& body) {
+          warp_eff = warp_eff_for(dev, a)](const char* kernel,
+                                           const auto& body) {
     return chunked_pass(dev, a, rows, static_cast<std::size_t>(a.n),
-                        warp_eff, name, body, nullptr);
+                        warp_eff, kernel, body, nullptr);
   };
 }
 
@@ -167,10 +174,17 @@ void check_stage1_counts(const Csr& a, std::span<const index_t> counts) {
                 << " rows");
 }
 
+/// Kernel names of the two stages; fault plans and traces key on them.
+struct StageKernels {
+  const char* count = "symbolic_1";
+  const char* fill = "symbolic_2";
+};
+
+template <typename Runner>
 SymbolicResult two_stage_symbolic(gpusim::Device& dev, const Csr& a,
-                                  const PassRunner& run_pass,
-                                  std::span<const index_t> stage1_counts) {
-  WallTimer timer;
+                                  Runner&& run_pass,
+                                  std::span<const index_t> stage1_counts,
+                                  StageKernels kernels = {}) {
   const index_t n = a.n;
   const std::uint64_t ops_before = dev.stats().kernel_ops;
 
@@ -185,7 +199,8 @@ SymbolicResult two_stage_symbolic(gpusim::Device& dev, const Csr& a,
     d_fill_count.copy_from_host(stage1_counts);
   } else {
     TRACE_SPAN("symbolic.stage1", dev, {{"rows", n}});
-    const PassResult pr = count_stage(a, "symbolic_1", run_pass, d_fill_count);
+    const PassResult pr =
+        count_stage(a, kernels.count, run_pass, d_fill_count);
     res.chunk_rows = pr.chunk_rows;
     res.num_chunks = pr.num_chunks;
   }
@@ -219,8 +234,7 @@ SymbolicResult two_stage_symbolic(gpusim::Device& dev, const Csr& a,
   // the CSC conversion and the numeric binary search see sorted indices.
   {
     TRACE_SPAN("symbolic.stage2", dev, {{"rows", n}, {"fill_nnz", total}});
-    const PassResult pr = run_pass("symbolic_2", [&](index_t row,
-                                                     PlainWorkspace& ws,
+    const PassResult pr = run_pass(kernels.fill, [&](index_t row, auto& ws,
                                                      gpusim::KernelContext&
                                                          ctx) {
       const offset_t seg_begin = res.filled.row_ptr[row];
@@ -247,8 +261,18 @@ SymbolicResult two_stage_symbolic(gpusim::Device& dev, const Csr& a,
 
   res.filled.col_idx.assign(d_as_cols.data(), d_as_cols.data() + total);
   res.ops = dev.stats().kernel_ops - ops_before;
-  res.wall_ms = timer.millis();
   return res;
+}
+
+/// Host-memory guard: like the paper (whose unified-memory runs are
+/// limited by the 128 GB host), refuse scratch allocations beyond a
+/// budget. Override with E2ELU_UM_HOST_BYTES.
+std::size_t um_host_budget() {
+  if (const char* env = std::getenv("E2ELU_UM_HOST_BYTES")) {
+    const long long v = std::strtoll(env, nullptr, 10);
+    if (v > 0) return static_cast<std::size_t>(v);
+  }
+  return 2ull << 30;
 }
 
 }  // namespace
@@ -374,7 +398,7 @@ SymbolicResult symbolic_out_of_core_multipart(
   std::iota(tail.begin(), tail.end(), n1);
 
   SymbolicResult res = two_stage_symbolic(
-      dev, a, [&](const char* name, const StageBody& body) {
+      dev, a, [&](const char* kernel, const auto& body) {
         PassResult total;
         std::vector<index_t> spill = tail;
         for (const Range& r : ranges) {
@@ -382,7 +406,7 @@ SymbolicResult symbolic_out_of_core_multipart(
           std::iota(rows.begin(), rows.end(), r.begin);
           std::vector<index_t> overflow;
           const PassResult pr = chunked_pass(dev, a, rows, r.qbound, warp_eff,
-                                             name, body, &overflow);
+                                             kernel, body, &overflow);
           if (total.chunk_rows == 0) total.chunk_rows = pr.chunk_rows;
           total.num_chunks += pr.num_chunks;
           spill.insert(spill.end(), overflow.begin(), overflow.end());
@@ -390,12 +414,73 @@ SymbolicResult symbolic_out_of_core_multipart(
         std::sort(spill.begin(), spill.end());
         const PassResult pr_tail =
             chunked_pass(dev, a, spill, static_cast<std::size_t>(n), warp_eff,
-                         name, body, nullptr);
+                         kernel, body, nullptr);
         total.num_chunks += pr_tail.num_chunks;
         return total;
       },
       stage1_counts);
   return res;
+}
+
+SymbolicResult symbolic_unified_memory(gpusim::Device& dev, const Csr& a,
+                                       bool prefetch,
+                                       const SymbolicOptions& /*opt*/) {
+  const index_t n = a.n;
+  const std::size_t slots = UnifiedWorkspace::slots(n);
+  const std::size_t total_slots = static_cast<std::size_t>(n) * slots;
+  E2ELU_CHECK_MSG(
+      total_slots * sizeof(index_t) <= um_host_budget(),
+      "unified-memory scratch (" << total_slots * sizeof(index_t)
+          << " bytes) exceeds the host-memory budget — the same wall the "
+             "paper hits for matrices beyond ~41k rows");
+
+  // The input matrix itself is device-resident (nnz-sized, it fits);
+  // only the quadratic scratch is managed.
+  gpusim::DeviceBuffer<offset_t> d_row_ptr(dev, std::span(a.row_ptr));
+  gpusim::DeviceBuffer<index_t> d_col_idx(dev, std::span(a.col_idx));
+  const double warp_eff = warp_eff_for(dev, a);
+
+  // Built by the first stage, after the skeleton's counts array (the
+  // resident-page budget is the free memory at construction), and kept
+  // for the second: symbolic_2 finds the pages symbolic_1 left resident.
+  std::optional<gpusim::UnifiedBuffer<index_t>> scratch;
+  auto all_rows_at_once = [&](const char* kernel, const auto& body) {
+    if (!scratch) scratch.emplace(dev, total_slots);
+    TRACE_SPAN("symbolic.um_stage", dev,
+               {{"stage", kernel},
+                {"rows", n},
+                {"prefetch", prefetch ? 1 : 0}});
+    dev.launch(
+        {.name = kernel,
+         .blocks = n,
+         .threads_per_block = 256,
+         .warp_efficiency = warp_eff},
+        [&](std::int64_t b, gpusim::KernelContext& ctx) {
+          gpusim::UnifiedBuffer<index_t>::Stream stream;
+          UnifiedWorkspace ws{&*scratch, &stream,
+                              static_cast<std::size_t>(b) * slots, n};
+          if (prefetch) {
+            // cudaMemPrefetchAsync of the predictably-touched scratch: the
+            // fill stamps and the first frontier queue. The second queue
+            // is the producer side of a double buffer filled by the
+            // traversal itself (and the bitmap tail is scattered into
+            // data-dependently), so that traffic keeps demand-faulting —
+            // which is why, as in Table 3, prefetching shrinks but does
+            // not eliminate the fault-service time.
+            scratch->prefetch(ws.base, 2 * static_cast<std::size_t>(n));
+          }
+          // First-touch initialisation of the visit stamps. Charged at
+          // memset rate (16 elements per op).
+          for (index_t i = 0; i < n; ++i) ws.fill(i) = -1;
+          ctx.add_ops(static_cast<std::uint64_t>(n) / 16 + 1);
+          E2ELU_CHECK_MSG(!body(static_cast<index_t>(b), ws, ctx),
+                          "row " << b << " overflowed a full-size queue");
+        });
+    return PassResult{.chunk_rows = n, .num_chunks = 1};
+  };
+  return two_stage_symbolic(
+      dev, a, all_rows_at_once, {},
+      {.count = "symbolic_1_um", .fill = "symbolic_2_um"});
 }
 
 }  // namespace e2elu::symbolic

@@ -6,7 +6,6 @@
 
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
-#include "support/timer.hpp"
 #include "symbolic/fill2.hpp"
 #include "symbolic/symbolic.hpp"
 #include "symbolic/workspace.hpp"
@@ -19,7 +18,6 @@ namespace {
 /// sorted filled pattern. Shared by reference (1 worker view) and CPU
 /// baseline (pool).
 SymbolicResult host_fill2(const Csr& a, bool parallel) {
-  WallTimer timer;
   const index_t n = a.n;
   SymbolicResult res;
   res.fill_count.assign(n, 0);
@@ -59,7 +57,6 @@ SymbolicResult host_fill2(const Csr& a, bool parallel) {
     std::copy(rows[i].begin(), rows[i].end(),
               res.filled.col_idx.begin() + res.filled.row_ptr[i]);
   }
-  res.wall_ms = timer.millis();
   return res;
 }
 

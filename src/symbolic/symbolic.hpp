@@ -7,8 +7,14 @@
 //   symbolic_reference   sequential host code; correctness oracle.
 //   symbolic_cpu         multithreaded host fill2 — the symbolic phase of
 //                        the "modified GLU3.0" baseline (Figure 4).
-//   symbolic_out_of_core Algorithm 3: two-stage chunked GPU execution
-//                        with explicit data movement.
+//
+// The device drivers are row runners of one two-stage skeleton
+// (out_of_core.cpp): symbolic_1 counts each row's fill, a device prefix
+// sum sizes the pattern, symbolic_2 writes and sorts it. Each supplies
+// only its scratch placement and its row schedule:
+//
+//   symbolic_out_of_core Algorithm 3: rows in chunks sized so the scratch
+//                        fits in device memory, explicit data movement.
 //   symbolic_out_of_core_dynamic
 //                        Algorithm 4: dynamic parallelism assignment —
 //                        rows are split at the point where the frontier
@@ -17,7 +23,8 @@
 //                        chunks (Figure 7).
 //   symbolic_unified_memory
 //                        scratch in managed memory, one launch for all
-//                        rows; optional prefetching (Figures 5/6, Table 3).
+//                        rows per stage; optional prefetching (Figures
+//                        5/6, Table 3).
 //   count_fill_out_of_core
 //                        Algorithm 3's stage 1 alone: nnz(L+U) without
 //                        the pattern (the parallel ordering's fill gate).
@@ -44,7 +51,6 @@ struct SymbolicResult {
   Csr filled;  ///< pattern of As = L+U (values empty), rows sorted
   std::vector<index_t> fill_count;  ///< per-row As row lengths
   std::uint64_t ops = 0;            ///< traversal work items
-  double wall_ms = 0;               ///< host wall-clock of the driver
   index_t chunk_rows = 0;           ///< chunk_size used (0: not chunked)
   index_t num_chunks = 0;           ///< number of kernel iterations/stage
 };

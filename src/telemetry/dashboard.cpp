@@ -10,6 +10,8 @@
 #include <sstream>
 #include <vector>
 
+#include "support/json.hpp"
+
 namespace e2elu::telemetry {
 
 namespace {
@@ -135,15 +137,6 @@ void render_text(std::ostream& os, const Frame& f) {
   os << std::setprecision(6);
 }
 
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
 void render_json(std::ostream& os, const Frame& f) {
   os << "{\"dashboard\": {\"jobs\": " << f.jobs
      << ", \"queue_wait_p99_us\": " << f.queue_wait.p99()
@@ -159,7 +152,7 @@ void render_json(std::ostream& os, const Frame& f) {
     const TenantRow& t = f.tenants[k];
     if (k > 0) os << ", ";
     os << "{\"tenant\": ";
-    write_escaped(os, t.tenant);
+    json::write_string(os, t.tenant);
     os << ", \"jobs\": " << t.jobs << ", \"failures\": " << t.failures
        << ", \"replays\": " << t.replays << ", \"p50_us\": " << t.latency.p50()
        << ", \"p90_us\": " << t.latency.p90()

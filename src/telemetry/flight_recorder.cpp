@@ -2,37 +2,16 @@
 
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <sstream>
 
 #include "fault/fault.hpp"
+#include "support/json.hpp"
 
 namespace e2elu::telemetry {
 
 namespace {
-
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(c) << std::dec << std::setfill(' ');
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 std::string hash_hex(std::uint64_t h) {
   std::ostringstream os;
@@ -58,17 +37,17 @@ void write_device_stats(std::ostream& os, const gpusim::DeviceStats& d) {
 
 void write_report(std::ostream& os, const JobReport& r) {
   os << "{\"job_id\": " << r.job_id << ", \"tenant\": ";
-  write_escaped(os, r.tenant);
+  json::write_string(os, r.tenant);
   os << ", \"priority\": " << r.priority << ", \"n\": " << r.n
      << ", \"nnz\": " << r.nnz << ", \"structure_hash\": ";
-  write_escaped(os, hash_hex(r.structure_hash));
+  json::write_string(os, hash_hex(r.structure_hash));
   os << ", \"cache_hit\": " << (r.cache_hit ? "true" : "false")
      << ", \"replayed\": " << (r.replayed ? "true" : "false")
      << ", \"demoted\": " << (r.demoted ? "true" : "false")
      << ", \"failed\": " << (r.failed ? "true" : "false") << ", \"error\": ";
-  write_escaped(os, r.error);
+  json::write_string(os, r.error);
   os << ", \"error_kind\": ";
-  write_escaped(os, r.error_kind);
+  json::write_string(os, r.error_kind);
   os << ", \"queue_wait_us\": " << r.queue_wait_us
      << ", \"cache_lookup_us\": " << r.cache_lookup_us
      << ", \"build_us\": " << r.build_us << ", \"replay_us\": " << r.replay_us
@@ -85,7 +64,7 @@ void write_report(std::ostream& os, const JobReport& r) {
 
 void write_span(std::ostream& os, const trace::SpanRecord& s) {
   os << "{\"name\": ";
-  write_escaped(os, s.name == nullptr ? "" : s.name);
+  json::write_string(os, s.name == nullptr ? "" : s.name);
   os << ", \"id\": " << s.id << ", \"parent\": " << s.parent
      << ", \"depth\": " << s.depth << ", \"start_us\": " << s.start_us
      << ", \"dur_us\": " << s.dur_us << ", \"sim_dur_us\": " << s.sim_dur_us
@@ -156,9 +135,9 @@ std::string FlightRecorder::write_incident(
 
   os << "{\n  \"incident\": {\"job_id\": " << report.job_id
      << ", \"tenant\": ";
-  write_escaped(os, report.tenant);
+  json::write_string(os, report.tenant);
   os << ", \"reason\": ";
-  write_escaped(os, reason);
+  json::write_string(os, reason);
   os << ", \"p99_us\": " << p99 << ", \"threshold_us\": " << threshold
      << "},\n";
 
@@ -172,7 +151,7 @@ std::string FlightRecorder::write_incident(
   auto& injector = fault::Injector::instance();
   os << "  \"fault_plan\": {\"armed\": "
      << (fault::armed() ? "true" : "false") << ", \"plan\": ";
-  write_escaped(os, injector.plan_text());
+  json::write_string(os, injector.plan_text());
   os << ", \"events\": [";
   const auto events = injector.events();
   for (std::size_t k = 0; k < events.size(); ++k) {
@@ -182,7 +161,7 @@ std::string FlightRecorder::write_incident(
                                                                    : "pivot";
     os << "{\"kind\": \"" << kind << "\", \"site\": " << events[k].site
        << ", \"detail\": ";
-    write_escaped(os, events[k].detail);
+    json::write_string(os, events[k].detail);
     os << "}";
   }
   os << "]},\n";

@@ -86,8 +86,9 @@ struct JobReport {
   std::uint64_t launches = 0;
   gpusim::DeviceStats device;
 
-  /// Recovery/fault accounting copied from the job's FactorResult (all
-  /// zero on a clean warm replay).
+  /// Recovery/fault accounting of this job: the build's FactorResult on
+  /// cold, sharded and demoted jobs; on a reused replay, the replay's
+  /// own retries (it neither replans nor perturbs).
   index_t symbolic_replans = 0;
   index_t pivot_perturbations = 0;
   index_t recovery_retries = 0;

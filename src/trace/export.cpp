@@ -9,37 +9,18 @@
 #include <unordered_map>
 #include <vector>
 
+#include "support/json.hpp"
+
 namespace e2elu::trace {
 
 namespace {
-
-void write_json_string(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-             << "0123456789abcdef"[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 void write_attr_value(std::ostream& os, const AttrValue& v) {
   switch (v.kind) {
     case AttrValue::Kind::Int: os << v.i; break;
     case AttrValue::Kind::Float: os << v.f; break;
     case AttrValue::Kind::Str:
-      write_json_string(os, v.s == nullptr ? "" : v.s);
+      json::write_string(os, v.s == nullptr ? "" : v.s);
       break;
   }
 }
@@ -50,7 +31,7 @@ void write_span_args(std::ostream& os, const SpanRecord& r) {
   auto field = [&](const char* key) -> std::ostream& {
     if (!first) os << ", ";
     first = false;
-    write_json_string(os, key);
+    json::write_string(os, key);
     os << ": ";
     return os;
   };
@@ -81,7 +62,7 @@ void write_metadata_event(std::ostream& os, int pid, std::int64_t tid,
   os << "{\"ph\": \"M\", \"pid\": " << pid;
   if (tid >= 0) os << ", \"tid\": " << tid;
   os << ", \"name\": \"" << what << "\", \"args\": {\"name\": ";
-  write_json_string(os, name.c_str());
+  json::write_string(os, name);
   os << "}},\n";
 }
 
@@ -121,7 +102,7 @@ void write_chrome_trace(std::ostream& os, std::span<const SpanRecord> spans) {
     os << "{\"ph\": \"X\", \"cat\": \"e2elu\", \"pid\": " << kWallPid
        << ", \"tid\": " << r.thread << ", \"ts\": " << r.start_us
        << ", \"dur\": " << r.dur_us << ", \"name\": ";
-    write_json_string(os, r.name == nullptr ? "" : r.name);
+    json::write_string(os, r.name == nullptr ? "" : r.name);
     os << ", \"args\": ";
     write_span_args(os, r);
     os << "}";
@@ -132,7 +113,7 @@ void write_chrome_trace(std::ostream& os, std::span<const SpanRecord> spans) {
       os << ",\n{\"ph\": \"X\", \"cat\": \"e2elu-sim\", \"pid\": " << kSimPid
          << ", \"tid\": " << r.device_id << ", \"ts\": " << r.sim_start_us
          << ", \"dur\": " << r.sim_dur_us << ", \"name\": ";
-      write_json_string(os, r.name == nullptr ? "" : r.name);
+      json::write_string(os, r.name == nullptr ? "" : r.name);
       os << ", \"args\": ";
       write_span_args(os, r);
       os << "}";
@@ -154,8 +135,7 @@ void publish_span_metrics(std::span<const SpanRecord> spans,
     registry.histogram(base + ".wall_us").record(r.dur_us);
     if (r.device_id >= 0) {
       registry.histogram(base + ".sim_us").record(r.sim_dur_us);
-      registry.counter(base + ".launches")
-          .add(r.delta.host_launches + r.delta.device_launches);
+      registry.counter(base + ".launches").add(r.delta.launches());
       registry.counter(base + ".page_faults").add(r.delta.page_faults);
       registry.counter(base + ".h2d_bytes").add(r.delta.h2d_bytes);
       registry.counter(base + ".d2h_bytes").add(r.delta.d2h_bytes);
@@ -192,7 +172,7 @@ void print_summary(std::ostream& os, std::span<const SpanRecord> spans) {
       const auto it = child_sim.find(r.id);
       row.self_sim_us +=
           r.sim_dur_us - (it == child_sim.end() ? 0.0 : it->second);
-      row.launches += r.delta.host_launches + r.delta.device_launches;
+      row.launches += r.delta.launches();
       row.fault_groups += r.delta.page_fault_groups;
       row.bytes += r.delta.h2d_bytes + r.delta.d2h_bytes;
     }

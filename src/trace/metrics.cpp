@@ -5,6 +5,8 @@
 #include <limits>
 #include <ostream>
 
+#include "support/json.hpp"
+
 namespace e2elu::trace {
 
 double Histogram::bucket_upper(int b) {
@@ -144,30 +146,6 @@ void MetricsRegistry::clear() {
   histograms_.clear();
 }
 
-namespace {
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-             << "0123456789abcdef"[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void MetricsRegistry::write_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mutex_);
   // Round-trip precision: the export is parsed back (bench_diff, the
@@ -179,7 +157,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   for (const auto& [name, c] : counters_) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_json_string(os, name);
+    json::write_string(os, name);
     os << ": " << c.value();
   }
   os << (counters_.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
@@ -187,7 +165,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   for (const auto& [name, g] : gauges_) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_json_string(os, name);
+    json::write_string(os, name);
     os << ": " << g.value();
   }
   os << (gauges_.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
@@ -195,7 +173,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   for (const auto& [name, h] : histograms_) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_json_string(os, name);
+    json::write_string(os, name);
     const HistogramSnapshot s = h.snapshot();
     os << ": {\"count\": " << s.count << ", \"sum\": " << s.sum
        << ", \"min\": " << s.min << ", \"max\": " << s.max

@@ -1,7 +1,8 @@
-// Exact charge pins for the numeric executors: the device counters one run
-// must reproduce. Counters compare exactly and simulated times to 1e-12
-// relative, so a change that moves a launch, an op, a byte or a stream
-// fails here even when the factors stay exact.
+// Exact charge pins for the numeric executors and the device symbolic
+// drivers: the device counters one run must reproduce. Counters compare
+// exactly and simulated times to 1e-12 relative, so a change that moves a
+// launch, an op, a byte or a stream fails here even when the results stay
+// exact.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -39,6 +40,19 @@ inline void expect_charges(const gpusim::DeviceStats& got,
               1e-12 * want.sim_total_us);
   EXPECT_NEAR(got.sim_elapsed_us, want.sim_elapsed_us,
               1e-12 * want.sim_elapsed_us);
+}
+
+/// The managed-memory counters ChargePin leaves out, pinned where scratch
+/// pages on demand (the unified-memory symbolic runs).
+struct PagingPin {
+  std::uint64_t page_fault_groups;
+  std::uint64_t prefetch_bytes;
+};
+
+inline void expect_paging(const gpusim::DeviceStats& got,
+                          const PagingPin& want) {
+  EXPECT_EQ(got.page_fault_groups, want.page_fault_groups);
+  EXPECT_EQ(got.prefetch_bytes, want.prefetch_bytes);
 }
 
 }  // namespace e2elu::pins

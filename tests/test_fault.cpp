@@ -412,6 +412,7 @@ TEST(FaultRefactor, ReplayLaunchFailureRetriesInPlace) {
   }
   EXPECT_TRUE(rep.fell_back);
   EXPECT_EQ(strict.stats().stability_fallbacks, 1u);
+  EXPECT_GT(rep.numeric.sim_us, 0.0);  // the abandoned replay is billed
   const std::vector<value_t> b = rhs(a.n, 9);
   EXPECT_LT(SparseLU::residual(a_t, SparseLU::solve(strict.factors(), b), b),
             1e-8);

@@ -1,10 +1,17 @@
-// Symbolic factorization: fill2 against the elimination oracle, and
-// agreement of every driver with the sequential reference.
+// Symbolic factorization: fill2 against the elimination oracle,
+// agreement of every driver with the sequential reference, and the exact
+// device charges of every device driver.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
+#include "charge_pins.hpp"
 #include "gpusim/device.hpp"
 #include "matrix/generators.hpp"
+#include "matrix/suite.hpp"
+#include "support/thread_pool.hpp"
 #include "symbolic/fill2.hpp"
 #include "symbolic/symbolic.hpp"
 
@@ -257,6 +264,159 @@ TEST(Multipart, RejectsZeroParts) {
   const Csr a = make_case(0, 5, 1);
   gpusim::Device dev(gpusim::DeviceSpec::v100_with_memory(64u << 20));
   EXPECT_THROW(symbolic_out_of_core_multipart(dev, a, 0), Error);
+}
+
+// ------------------------------------------------------- charge pins --
+// Every device driver's exact charges on one Table 2 stand-in and on a
+// circuit whose device forces chunking, against values the drivers
+// produced before their stage skeleton was shared. A refactor of the
+// drivers must move no launch, op, byte, page fault or simulated time.
+// One worker: unified-memory fault counts depend on block order.
+
+struct SymbolicPin {
+  pins::ChargePin device;
+  pins::PagingPin paging;
+  std::uint64_t ops;
+  index_t chunk_rows;
+  index_t num_chunks;
+};
+
+using DriverRun = std::function<SymbolicResult(gpusim::Device&, const Csr&)>;
+
+const std::vector<std::pair<const char*, DriverRun>>& pinned_drivers() {
+  static const std::vector<std::pair<const char*, DriverRun>> drivers = {
+      {"out_of_core",
+       [](gpusim::Device& d, const Csr& a) {
+         return symbolic_out_of_core(d, a);
+       }},
+      {"dynamic",
+       [](gpusim::Device& d, const Csr& a) {
+         return symbolic_out_of_core_dynamic(d, a);
+       }},
+      {"multipart4",
+       [](gpusim::Device& d, const Csr& a) {
+         return symbolic_out_of_core_multipart(d, a, 4);
+       }},
+      {"um_prefetch",
+       [](gpusim::Device& d, const Csr& a) {
+         return symbolic_unified_memory(d, a, true);
+       }},
+      {"um_demand",
+       [](gpusim::Device& d, const Csr& a) {
+         return symbolic_unified_memory(d, a, false);
+       }},
+      // The fill gate's count, then its handoff, on one device.
+      {"count_then_out_of_core",
+       [](gpusim::Device& d, const Csr& a) {
+         std::vector<index_t> counts;
+         count_fill_out_of_core(d, a, "ord.fillgate", &counts);
+         return symbolic_out_of_core(d, a, {}, counts);
+       }},
+      {"count_then_dynamic",
+       [](gpusim::Device& d, const Csr& a) {
+         std::vector<index_t> counts;
+         count_fill_out_of_core(d, a, "ord.fillgate", &counts);
+         return symbolic_out_of_core_dynamic(d, a, {}, counts);
+       }},
+  };
+  return drivers;
+}
+
+void expect_pinned(const Csr& a, const gpusim::DeviceSpec& spec,
+                   const std::vector<SymbolicPin>& want) {
+  const auto& drivers = pinned_drivers();
+  ASSERT_EQ(want.size(), drivers.size());
+  const SymbolicResult ref = symbolic_reference(a);
+  ThreadPool pool(1);
+  for (std::size_t k = 0; k < drivers.size(); ++k) {
+    SCOPED_TRACE(drivers[k].first);
+    gpusim::Device dev(spec);
+    dev.use_pool(pool);
+    const SymbolicResult res = drivers[k].second(dev, a);
+    EXPECT_TRUE(same_pattern(ref.filled, res.filled));
+    const gpusim::DeviceStats& s = dev.stats();
+    pins::expect_charges(s, want[k].device);
+    pins::expect_paging(s, want[k].paging);
+    EXPECT_EQ(res.ops, want[k].ops);
+    EXPECT_EQ(res.chunk_rows, want[k].chunk_rows);
+    EXPECT_EQ(res.num_chunks, want[k].num_chunks);
+  }
+}
+
+TEST(SymbolicCharges, TableTwoStandInIsPinned) {
+  // MI (mixtank_new) at divisor 64 on its Table 2 regime device.
+  const auto suite = table2_suite(64);
+  const auto mi =
+      std::find_if(suite.begin(), suite.end(),
+                   [](const SuiteEntry& e) { return e.abbr == "MI"; });
+  ASSERT_NE(mi, suite.end());
+  const Csr& a = mi->matrix;
+  const gpusim::DeviceSpec spec = gpusim::DeviceSpec::v100_with_memory(
+      device_memory_for(a, symbolic_reference(a).filled.nnz()));
+  expect_pinned(
+      a, spec,
+      {
+          {{5, 0, 11684844, 0, 99168, 0, 0, 78.617223011363635,
+            78.617223011363635},
+           {0, 0}, 11684844, 424, 2},
+          {{6, 0, 12261975, 0, 99168, 0, 0, 75.331341455419576,
+            75.33134145541959},
+           {0, 0}, 11684844, 143, 2},
+          {{10, 0, 12261975, 0, 99168, 0, 0, 99.275331671099295,
+            99.275331671099309},
+           {0, 0}, 11684844, 47, 4},
+          {{3, 0, 11712924, 0, 99168, 0, 436, 13998.982425, 13998.982425},
+           {436, 3530752}, 11712924, 468, 1},
+          {{3, 0, 11712924, 0, 99168, 0, 1298, 28136.982424999998,
+            28136.982424999998},
+           {936, 0}, 11712924, 468, 1},
+          {{5, 0, 11684844, 0, 200208, 1872, 0, 87.193223011363642,
+            87.193223011363628},
+           {0, 0}, 6058335, 384, 2},
+          {{6, 0, 12261975, 0, 200208, 1872, 0, 92.040295891608395,
+            92.040295891608395},
+           {0, 0}, 6058335, 143, 2},
+      });
+}
+
+TEST(SymbolicCharges, ChunkedCircuitIsPinned) {
+  // The driver-agreement device: the matrix, the counts and the filled
+  // pattern, plus about n/5 rows of scratch.
+  const Csr a = make_case(2, 24, 42);
+  const offset_t fill = symbolic_reference(a).filled.nnz();
+  const std::size_t resident_bytes =
+      a.row_ptr.size() * sizeof(offset_t) +
+      a.col_idx.size() * sizeof(index_t) +
+      static_cast<std::size_t>(a.n) * sizeof(index_t) +
+      static_cast<std::size_t>(fill) * sizeof(index_t);
+  const gpusim::DeviceSpec spec = gpusim::DeviceSpec::v100_with_memory(
+      resident_bytes +
+      scratch_bytes_per_row(a.n) * std::max<std::size_t>(2, a.n / 5));
+  expect_pinned(
+      a, spec,
+      {
+          {{12, 0, 1679481, 0, 13452, 0, 0, 263.30163278056,
+            263.30163278056006},
+           {0, 0}, 1679481, 139, 5},
+          {{11, 0, 1735810, 0, 13452, 0, 0, 260.77516542571158,
+            260.77516542571158},
+           {0, 0}, 1679481, 280, 4},
+          {{13, 0, 1735810, 0, 13452, 0, 0, 270.54150718369448,
+            270.54150718369448},
+           {0, 0}, 1679481, 105, 5},
+          {{3, 0, 1722105, 0, 13452, 0, 662, 21154.884006105902,
+            21154.884006105898},
+           {662, 5341184}, 1722105, 576, 1},
+          {{3, 0, 1722105, 0, 13452, 0, 1960, 38962.884006105902,
+            38962.884006105895},
+           {1294, 0}, 1722105, 576, 1},
+          {{12, 0, 1679481, 0, 29208, 2304, 0, 264.80663278055999,
+            264.80663278056005},
+           {0, 0}, 1000026, 115, 6},
+          {{12, 0, 1735810, 0, 29208, 2304, 0, 277.55909490776349,
+            277.55909490776349},
+           {0, 0}, 1000026, 231, 5},
+      });
 }
 
 }  // namespace

@@ -303,8 +303,13 @@ TEST(Telemetry, JobResultCarriesItsReport) {
   FactorService svc(service_options());
   const Csr a = telemetry_matrix(0x77);
 
-  const JobResult cold = svc.submit(a, rhs_for(a.n, 3), "acme", 2).get();
+  // A lost levelization launch costs the cold build one retry.
+  const JobResult cold = [&] {
+    fault::ScopedPlan plan("launch=levelize@1");
+    return svc.submit(a, rhs_for(a.n, 3), "acme", 2).get();
+  }();
   const JobReport& r = cold.report;
+  EXPECT_EQ(r.recovery_retries, 1);
   EXPECT_EQ(r.job_id, cold.job_id);
   EXPECT_EQ(r.tenant, "acme");
   EXPECT_EQ(r.priority, 2);
@@ -333,6 +338,8 @@ TEST(Telemetry, JobResultCarriesItsReport) {
   EXPECT_GT(warm.report.replay_us, 0.0);
   EXPECT_DOUBLE_EQ(warm.report.build_us, 0.0);
   EXPECT_DOUBLE_EQ(warm.report.solve_us, 0.0);
+  // The clean replay reports its own recovery, not the cold build's.
+  EXPECT_EQ(warm.report.recovery_retries, 0);
 }
 
 TEST(Telemetry, PreprocessSubPhasesTileExactly) {
@@ -626,6 +633,25 @@ TEST(Telemetry, DashboardRendersTenantsFromRegistrySnapshots) {
   EXPECT_DOUBLE_EQ(tenant.at("p99_us").as_number(), h.p99());
   EXPECT_DOUBLE_EQ(tenant.at("slo_violations").as_number(), 1.0);
   EXPECT_DOUBLE_EQ(tenant.at("error_budget").as_number(), 0.5);
+
+  // Tenant names are client input: a quote and a newline stay escaped,
+  // so the frame is still one line of valid JSON.
+  const std::string odd = "a\"b\nc";
+  reg.histogram(trace::labeled("service.job_us", "tenant", odd)).record(50.0);
+  std::ostringstream js2;
+  telemetry::render_dashboard(js2, reg, /*json=*/true);
+  const std::string frame = js2.str();
+  ASSERT_FALSE(frame.empty());
+  EXPECT_EQ(frame.back(), '\n');
+  for (std::size_t k = 0; k + 1 < frame.size(); ++k) {
+    EXPECT_GE(static_cast<unsigned char>(frame[k]), 0x20) << "byte " << k;
+  }
+  const json::Value doc2 = json::parse(frame);
+  bool found = false;
+  for (const json::Value& t : doc2.at("dashboard").at("tenants").as_array()) {
+    found = found || t.at("tenant").as_string() == odd;
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST(Telemetry, DashboardExporterRendersFinalFrame) {
